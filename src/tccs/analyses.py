@@ -21,7 +21,12 @@ guaranteed to end.
 All predicates are exact on an untruncated graph and are computed in
 one pass: a single strongly-connected-component sweep of the tau graph
 (divergence cores, convergence and barb propagation in one traversal),
-plus two reverse closures.  Results are cached on the graph itself.
+plus two reverse closures.  The same sweep also fills the tau closure,
+the per-state set of states reachable by zero or more tau steps, which
+the equivalence checkers respond with; the weak transitions under the
+other labels are built from it on first use, one label at a time.
+`Analysis` is the one cache of everything derived from a graph, and it
+is stored on the graph itself.
 """
 
 from __future__ import annotations
@@ -63,7 +68,12 @@ def _sid(s: State | int) -> int:
 
 
 class Analysis:
-    """All predicate tables for one graph, filled once at construction."""
+    """All predicate tables for one graph, filled once at construction.
+
+    `tau_closure[i]` is the bitmask of the states tau-reachable from
+    state i, itself included.  Weak transition masks under the other
+    labels are memoized per label by `weak_masks`.
+    """
 
     __slots__ = (
         "lts",
@@ -72,6 +82,8 @@ class Analysis:
         "may_diverge",
         "barbs",
         "reactive",
+        "tau_closure",
+        "_weak",
     )
 
     def __init__(self, lts: Lts) -> None:
@@ -87,15 +99,19 @@ class Analysis:
 
         # comps come out innermost-first: every component is emitted
         # after the components it can reach, so one forward sweep
-        # propagates divergence, convergence and barbs from the sinks.
+        # propagates divergence, convergence, barbs and the tau closure
+        # from the sinks.
         div_comp = [False] * len(comps)
         conv_comp = [False] * len(comps)
         barb_comp: list[frozenset[Label]] = [frozenset()] * len(comps)
+        clo_comp = [0] * len(comps)
         for c, members in enumerate(comps):
             div = len(members) > 1 or any(v in tau_succ[v] for v in members)
             conv = False
             bs: set[Label] = set()
+            clo = 0
             for v in members:
+                clo |= 1 << v
                 if lts.stable[v]:
                     conv = True
                     commit = lts.commit[v]
@@ -107,13 +123,17 @@ class Analysis:
                         div = div or div_comp[c2]
                         conv = conv or conv_comp[c2]
                         bs |= barb_comp[c2]
+                        clo |= clo_comp[c2]
             div_comp[c] = div
             conv_comp[c] = conv
             barb_comp[c] = frozenset(bs)
+            clo_comp[c] = clo
 
         self.may_diverge = [div_comp[comp[v]] for v in range(n)]
         self.may_converge = [conv_comp[comp[v]] for v in range(n)]
         self.barbs = [barb_comp[comp[v]] for v in range(n)]
+        self.tau_closure = [clo_comp[comp[v]] for v in range(n)]
+        self._weak: dict[Label, list[int]] = {}
 
         # ctx_converge: reverse closure of the converged states over
         # instantaneous edges of any polarity.
@@ -131,6 +151,33 @@ class Analysis:
             follow=lambda lab: True,
         )
         self.reactive = [not b for b in can_reach_div]
+
+    def weak_masks(self, lab: Label) -> list[int]:
+        """Per-state bitmask of weak successors under `lab`.
+
+        For tau this is the tau closure; for any other label it is tau
+        closure, one strong step with the label, then tau closure again.
+        """
+        if lab.kind == "tau":
+            return self.tau_closure
+        masks = self._weak.get(lab)
+        if masks is None:
+            tclo = self.tau_closure
+            pre = [0] * len(tclo)
+            for j, out in enumerate(self.lts.succ):
+                for l2, k in out:
+                    if l2 == lab:
+                        pre[j] |= tclo[k]
+            masks = []
+            for rest in tclo:
+                m = 0
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    m |= pre[low.bit_length() - 1]
+                masks.append(m)
+            self._weak[lab] = masks
+        return masks
 
     def facts(self, s: State | int) -> StateFacts:
         i = _sid(s)

@@ -86,11 +86,16 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def _read_program(path: str) -> ParseResult:
-    if path == "-":
-        src = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="ascii") as fh:
-            src = fh.read()
+    try:
+        if path == "-":
+            src = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="ascii") as fh:
+                src = fh.read()
+        src.encode("ascii")
+    except UnicodeError:
+        where = "stdin" if path == "-" else path
+        raise UsageError("%s is not ASCII text" % where) from None
     return parse(src)
 
 
@@ -270,6 +275,9 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     ap = _build_argparser()
     args = ap.parse_args(argv)
+    for flag, low in (("bound", 1), ("depth", 0)):
+        if getattr(args, flag, low) < low:
+            ap.error("argument --%s: must be at least %d" % (flag, low))
     try:
         return _HANDLERS[args.subcommand](args)
     except ParseError as exc:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analyses import _tau_sccs, analysis, may_converge
+from .analyses import analysis, may_converge
 from .lts import BoundExceeded, Lts, State, build_lts
 from .terms import (
     NIL,
@@ -101,68 +101,6 @@ _CONV_CCS = "conv-ccs"
 # weak transitions
 
 
-def _tau_closure(lts: Lts) -> list[int]:
-    """Per-state bitmask of states reachable by zero or more tau steps."""
-    cache = lts._weak
-    if cache is None:
-        cache = lts._weak = {}
-    masks = cache.get("=>tau")
-    if masks is None:
-        n = len(lts)
-        tau_succ = [
-            [j for lab, j in out if lab.kind == "tau"] for out in lts.succ
-        ]
-        comp, comps = _tau_sccs(n, tau_succ)
-        comp_mask = [0] * len(comps)
-        for c, members in enumerate(comps):
-            m = 0
-            for v in members:
-                m |= 1 << v
-            for v in members:
-                for w in tau_succ[v]:
-                    if comp[w] != c:
-                        m |= comp_mask[comp[w]]
-            comp_mask[c] = m
-        masks = [comp_mask[comp[v]] for v in range(n)]
-        cache["=>tau"] = masks
-    return masks
-
-
-def _weak_masks(lts: Lts, lab: Label) -> list[int]:
-    """Per-state bitmask of weak successors under `lab`.
-
-    For tau this is the reflexive-transitive closure; for any other
-    label it is tau-closure, one strong step with the label, then
-    tau-closure again.
-    """
-    if lab.kind == "tau":
-        return _tau_closure(lts)
-    cache = lts._weak
-    if cache is None:
-        cache = lts._weak = {}
-    key = "=>" + str(lab)
-    masks = cache.get(key)
-    if masks is None:
-        n = len(lts)
-        tclo = _tau_closure(lts)
-        pre = [0] * n
-        for j, out in enumerate(lts.succ):
-            for l2, k in out:
-                if l2 == lab:
-                    pre[j] |= tclo[k]
-        masks = []
-        for i in range(n):
-            m = 0
-            rest = tclo[i]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                m |= pre[low.bit_length() - 1]
-            masks.append(m)
-        cache[key] = masks
-    return masks
-
-
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -174,7 +112,7 @@ def weak(lts: Lts, label: Label) -> set[tuple[int, int]]:
     """The weak transition relation for one label, as state-id pairs."""
     if lts.truncated:
         raise BoundExceeded("weak transitions need the full graph")
-    masks = _weak_masks(lts, label)
+    masks = analysis(lts).weak_masks(label)
     return {(i, j) for i in range(len(lts)) for j in _bits(masks[i])}
 
 
@@ -253,45 +191,26 @@ def _eliminate(
     happened, so a replay that processes entries first to last sees
     the same candidate relation the checker saw.
     """
+    if mode not in MODES and mode != _CONV_CCS:
+        raise ValueError("unknown mode %r" % mode)
     n = len(lts)
-    full = (1 << n) - 1
+    an = analysis(lts)
     cert: list[CertEntry] = []
-
     if mode == CONV_DIV:
-        div = analysis(lts).may_diverge
-        rel = [0] * n
-        for i in range(n):
-            m = 0
-            for j in range(n):
-                if div[i] == div[j]:
-                    m |= 1 << j
-            rel[i] = m
-        for i in range(n):
-            for j in range(i + 1, n):
-                if div[i] != div[j]:
-                    cert.append(CertEntry((i, j), "diverge", None, 0))
+        rel = _agreeing(an.may_diverge, "diverge", cert)
     elif mode == _CONV_CCS:
-        conv = analysis(lts).may_converge
-        rel = [0] * n
-        for i in range(n):
-            m = 0
-            for j in range(n):
-                if conv[i] == conv[j]:
-                    m |= 1 << j
-            rel[i] = m
-        for i in range(n):
-            for j in range(i + 1, n):
-                if conv[i] != conv[j]:
-                    cert.append(CertEntry((i, j), "converge", None, 0))
+        rel = _agreeing(an.may_converge, "converge", cert)
     else:
-        rel = [full] * n
+        rel = [(1 << n) - 1] * n
 
     conv_game = mode in (CONV, CONV_DIV, _CONV_CCS)
-    cc = analysis(lts).ctx_converge if conv_game else []
-    tclo = _tau_closure(lts)
+    cc = an.ctx_converge
+    tclo = an.tau_closure
+    weak_masks = an.weak_masks
 
     def violation(s: int, t: int):
-        """First unanswerable strong challenge of s against t, if any."""
+        """First unanswerable strong challenge of s against t, if any,
+        as its clause, the pair and the challenging edge."""
         for lab, s2 in lts.succ[s]:
             kind = lab.kind
             if kind == "tau":
@@ -301,19 +220,19 @@ def _eliminate(
                 if mode in (USUAL_UNTIMED, _CONV_CCS):
                     continue
                 clause = "red-tick" if conv_game else "usual-mu"
-                resp = _weak_masks(lts, lab)[t]
+                resp = weak_masks(lab)[t]
             elif conv_game:
                 if not cc[s]:
                     continue
                 clause = "lab"
-                resp = _weak_masks(lts, lab)[t]
+                resp = weak_masks(lab)[t]
                 if not cc[s2]:
                     resp |= tclo[t]
             else:
                 clause = "usual-mu"
-                resp = _weak_masks(lts, lab)[t]
+                resp = weak_masks(lab)[t]
             if not resp & rel[s2]:
-                return clause, (s, lab, s2)
+                return clause, (s, t), (s, lab, s2)
         return None
 
     rounds = 0
@@ -326,21 +245,32 @@ def _eliminate(
             for t in _bits(todo):
                 hit = violation(s, t)
                 if hit is None and t != s:
-                    back = violation(t, s)
-                    if back is not None:
-                        clause, edge = back
-                        cert.append(CertEntry((t, s), clause, edge, rounds))
-                        rel[s] &= ~(1 << t)
-                        rel[t] &= ~(1 << s)
-                        changed = True
-                    continue
+                    hit = violation(t, s)
                 if hit is not None:
-                    clause, edge = hit
-                    cert.append(CertEntry((s, t), clause, edge, rounds))
+                    clause, pair, edge = hit
+                    cert.append(CertEntry(pair, clause, edge, rounds))
                     rel[s] &= ~(1 << t)
                     rel[t] &= ~(1 << s)
                     changed = True
     return rel, cert, rounds
+
+
+def _agreeing(
+    values: list[bool], clause: str, cert: list[CertEntry]
+) -> list[int]:
+    """The initial relation of the pairs that agree on a per-state flag.
+
+    Each disagreeing pair (i, j) with i < j is appended to `cert` as a
+    challenge-free entry of round 0, rows first, columns ascending.
+    """
+    yes = sum(1 << i for i, v in enumerate(values) if v)
+    no = ((1 << len(values)) - 1) ^ yes
+    rel = []
+    for i, v in enumerate(values):
+        rel.append(yes if v else no)
+        for j in _bits((no if v else yes) >> (i + 1) << (i + 1)):
+            cert.append(CertEntry((i, j), clause, None, 0))
+    return rel
 
 
 def largest_bisimulation(lts: Lts, mode: str) -> Relation:
@@ -377,19 +307,7 @@ def check(
     """Build the joint graph of p and q and decide the given relation."""
     if mode not in MODES:
         raise ValueError("unknown mode %r" % mode)
-    defs = defs if defs is not None else DefTable()
-    if mode == USUAL_UNTIMED:
-        for r in (p, q):
-            if not classify(r, defs).is_ccs:
-                raise ValueError(
-                    "usual-untimed compares only processes without else_next"
-                )
-    lts = build_lts([p, q], defs, bound)
-    if lts.truncated:
-        raise BoundExceeded(
-            "state bound %d exceeded while building the graph" % bound
-        )
-    return check_states(lts, lts.roots[0], lts.roots[1], mode)
+    return _decide(p, q, mode, defs, bound)
 
 
 def check_ccs_equivalently(
@@ -405,22 +323,29 @@ def check_ccs_equivalently(
     must therefore always agree with mode conv on such inputs, and the
     test suite holds it to that.
     """
+    return _decide(p, q, _CONV_CCS, defs, bound)
+
+
+def _decide(
+    p: Process, q: Process, mode: str, defs: DefTable | None, bound: int
+) -> EquivVerdict:
+    """Build the joint graph and play the mode's game on its roots.
+
+    The untimed modes first refuse processes that mention else_next.
+    """
     defs = defs if defs is not None else DefTable()
-    for r in (p, q):
-        if not classify(r, defs).is_ccs:
-            raise ValueError(
-                "the untimed decision applies only to processes "
-                "without else_next"
-            )
+    if mode in (USUAL_UNTIMED, _CONV_CCS):
+        for r in (p, q):
+            if not classify(r, defs).is_ccs:
+                raise ValueError(
+                    "%s compares only processes without else_next" % mode
+                )
     lts = build_lts([p, q], defs, bound)
     if lts.truncated:
         raise BoundExceeded(
             "state bound %d exceeded while building the graph" % bound
         )
-    rel, cert, rounds = _eliminate(lts, _CONV_CCS)
-    si, ti = lts.roots
-    related = bool(rel[si] >> ti & 1)
-    return EquivVerdict(related, _CONV_CCS, (si, ti), rounds, cert, None, lts)
+    return check_states(lts, *lts.roots, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +381,7 @@ def _ready_families(
     lts: Lts, root: int
 ) -> frozenset[frozenset[Label]]:
     """Ready sets of the settled states tau-reachable from the root."""
-    tclo = _tau_closure(lts)
+    tclo = analysis(lts).tau_closure
     fams = set()
     for i in _bits(tclo[root]):
         if lts.stable[i]:
@@ -539,14 +464,9 @@ def falsify_with_context(
                 )
         nxt: list[StaticContext] = []
         for ctx in level:
-            for tester in testers:
-                cand: StaticContext = ParWith(ctx, tester)
-                text = pretty_context(cand)
-                if text not in seen:
-                    seen.add(text)
-                    nxt.append(cand)
-            for a in names:
-                cand = RestrictCtx(a, ctx)
+            cands: list[StaticContext] = [ParWith(ctx, t) for t in testers]
+            cands += [RestrictCtx(a, ctx) for a in names]
+            for cand in cands:
                 text = pretty_context(cand)
                 if text not in seen:
                     seen.add(text)
@@ -572,6 +492,7 @@ def explain(v: EquivVerdict, max_depth: int = 8) -> str:
     if lts is None:
         raise ValueError("verdict carries no graph to explain against")
 
+    an = analysis(lts)
     where: dict[tuple[int, int], int] = {}
     for idx, e in enumerate(v.certificate):
         where.setdefault(e.pair, idx)
@@ -587,13 +508,12 @@ def explain(v: EquivVerdict, max_depth: int = 8) -> str:
         pad = "  " * indent
         s, t = e.pair
         if e.challenge is None:
-            facts = analysis(lts)
             if e.clause == "diverge":
                 what = "may_diverge"
-                fs, ft = facts.may_diverge[s], facts.may_diverge[t]
+                fs, ft = an.may_diverge[s], an.may_diverge[t]
             else:
                 what = "may_converge"
-                fs, ft = facts.may_converge[s], facts.may_converge[t]
+                fs, ft = an.may_converge[s], an.may_converge[t]
             lines.append(
                 "%s[%s] %s: %s=%s but %s: %s=%s"
                 % (pad, e.clause, term(s), what, str(fs).lower(),
@@ -605,9 +525,9 @@ def explain(v: EquivVerdict, max_depth: int = 8) -> str:
             "%s[%s] %s -%s-> %s, challenged against %s:"
             % (pad, e.clause, term(src), lab, term(dst), term(t))
         )
-        resp = _weak_masks(lts, lab)[t]
-        if e.clause == "lab" and not analysis(lts).ctx_converge[dst]:
-            resp |= _tau_closure(lts)[t]
+        resp = an.weak_masks(lab)[t]
+        if e.clause == "lab" and not an.ctx_converge[dst]:
+            resp |= an.tau_closure[t]
         options = list(_bits(resp))
         if not options:
             lines.append("%s  no weak %s response exists" % (pad, lab))

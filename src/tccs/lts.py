@@ -193,7 +193,8 @@ class Lts:
     outgoing edges.  `stable` and `commit` cache the per-state stance
     toward time: a state is stable when it has no tau edge, and the
     commitment set is present exactly on stable states.  `_analysis`
-    and `_weak` are write-once caches filled by downstream modules.
+    is a write-once cache for everything derived from the graph, filled
+    by `tccs.analyses.analysis`.
     """
 
     __slots__ = (
@@ -206,7 +207,6 @@ class Lts:
         "stable",
         "commit",
         "_analysis",
-        "_weak",
     )
 
     def __init__(
@@ -229,7 +229,6 @@ class Lts:
         ]
         self.commit = [commitments(t, defs) for t in terms]
         self._analysis = None
-        self._weak = None
 
     def __len__(self) -> int:
         return len(self.terms)

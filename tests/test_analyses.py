@@ -110,6 +110,16 @@ def test_facts_agree_with_the_reference(seed):
         assert a.barbs[s] == orc.barbs[s]
     for root in lts.roots:
         assert a.reactive[root] == orc.reactive(root)
+    n = len(lts)
+
+    def states(mask):
+        return {j for j in range(n) if mask >> j & 1}
+
+    labels = {lab for out in lts.succ for lab, _ in out}
+    for s in range(n):
+        assert states(a.tau_closure[s]) == orc.tau_star[s]
+        for lab in labels:
+            assert states(a.weak_masks(lab)[s]) == orc.weak(s, lab)
 
 
 @given(seeds)

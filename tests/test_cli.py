@@ -168,6 +168,35 @@ def test_check_bad_mode_is_an_argparse_error(prog, capsys):
     assert exc.value.code == 2
 
 
+def test_out_of_range_flags_are_usage_errors(prog, capsys):
+    for argv, flag in (
+        (["lts", prog, "-p", "Q", "--bound", "0"], "--bound"),
+        (["check", prog, "-p", "Z", "-q", "Z", "--depth", "-1"], "--depth"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument %s: must be at least" % flag in err
+        assert "Traceback" not in err
+
+
+def test_non_ascii_input_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    f = tmp_path / "accent.tccs"
+    f.write_bytes(b"// caf\xc3\xa9\nP = a.0;\n")
+    assert main(["parse", str(f)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: %s is not ASCII text" % f
+    )
+    for stdin in (
+        io.TextIOWrapper(io.BytesIO(b"P = a.0; // \xff\n"), encoding="utf-8"),
+        io.StringIO("P = \u00e9.0;\n"),
+    ):
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["parse", "-"]) == 2
+        assert capsys.readouterr().err.strip() == "error: stdin is not ASCII text"
+
+
 def test_step_walks_one_action(prog, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("0\nq\n"))
     assert main(["step", prog, "-p", "Q"]) == 0

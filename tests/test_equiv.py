@@ -150,13 +150,22 @@ def _replay(verdict, lts, mode):
 def test_certificate_replays_for_every_mode(seed):
     rng = random.Random(seed)
     p, q, defs = random_pair(rng, GenConfig(depth=3, max_defs=2))
-    for mode in (USUAL, CONV, CONV_DIV):
+    u, w, udefs = random_pair(
+        rng, GenConfig(depth=3, max_defs=2, allow_else=False)
+    )
+    deciders = [
+        lambda mode=mode: check(p, q, mode, defs, bound=400)
+        for mode in (USUAL, CONV, CONV_DIV)
+    ] + [
+        lambda: check(u, w, USUAL_UNTIMED, udefs, bound=400),
+        lambda: check_ccs_equivalently(u, w, udefs, bound=400),
+    ]
+    for decide in deciders:
         try:
-            verdict = check(p, q, mode, defs, bound=400)
+            verdict = decide()
         except BoundExceeded:
-            return
-        lts = verdict.lts
-        survivors = _replay(verdict, lts, mode)
+            continue
+        survivors = _replay(verdict, verdict.lts, verdict.mode)
         roots = tuple(verdict.roots)
         assert verdict.related == (roots in survivors)
         if not verdict.related:
@@ -322,6 +331,11 @@ def test_unknown_mode_and_untimed_input_guard():
         check(p, q, USUAL_UNTIMED, defs)
     with pytest.raises(ValueError):
         check_ccs_equivalently(p, q, defs)
+    lts = build_lts([p, q], defs)
+    with pytest.raises(ValueError):
+        check_states(lts, *lts.roots, "conv_div")
+    with pytest.raises(ValueError):
+        largest_bisimulation(lts, "conv_div")
 
 
 def test_state_bound_is_reported():
