@@ -24,9 +24,10 @@ one pass: a single strongly-connected-component sweep of the tau graph
 plus two reverse closures.  The same sweep also fills the tau closure,
 the per-state set of states reachable by zero or more tau steps, which
 the equivalence checkers respond with; the weak transitions under the
-other labels are built from it on first use, one label at a time.
-`Analysis` is the one cache of everything derived from a graph, and it
-is stored on the graph itself.
+other labels are built from it on first use, one label at a time.  The
+checkers' elimination order comes from the same component routine run
+over all edges, also on first use.  `Analysis` is the one cache of
+everything derived from a graph, and it is stored on the graph itself.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ class Analysis:
 
     `tau_closure[i]` is the bitmask of the states tau-reachable from
     state i, itself included.  Weak transition masks under the other
-    labels are memoized per label by `weak_masks`.
+    labels are memoized per label by `weak_masks`, and the elimination
+    order of the equivalence checkers is built on first use by `sweep`.
     """
 
     __slots__ = (
@@ -84,6 +86,7 @@ class Analysis:
         "reactive",
         "tau_closure",
         "_weak",
+        "_sweep",
     )
 
     def __init__(self, lts: Lts) -> None:
@@ -95,7 +98,7 @@ class Analysis:
             [j for lab, j in out if lab.kind == "tau"] for out in lts.succ
         ]
 
-        comp, comps = _tau_sccs(n, tau_succ)
+        comp, comps = _sccs(n, tau_succ)
 
         # comps come out innermost-first: every component is emitted
         # after the components it can reach, so one forward sweep
@@ -134,6 +137,7 @@ class Analysis:
         self.barbs = [barb_comp[comp[v]] for v in range(n)]
         self.tau_closure = [clo_comp[comp[v]] for v in range(n)]
         self._weak: dict[Label, list[int]] = {}
+        self._sweep: tuple[list[int], list[int]] | None = None
 
         # ctx_converge: reverse closure of the converged states over
         # instantaneous edges of any polarity.
@@ -179,6 +183,25 @@ class Analysis:
             self._weak[lab] = masks
         return masks
 
+    @property
+    def sweep(self) -> tuple[list[int], list[int]]:
+        """The states successors-first, and each state's predecessors.
+
+        The order is the emission order of the strongly connected
+        components over all edges, so a state comes after every state
+        it can reach outside its own component.  `pred[j]` is the
+        bitmask of the states with an edge, of any label, into j.
+        """
+        if self._sweep is None:
+            succ = self.lts.succ
+            _, comps = _sccs(len(succ), [[j for _, j in out] for out in succ])
+            pred = [0] * len(succ)
+            for i, out in enumerate(succ):
+                for _, j in out:
+                    pred[j] |= 1 << i
+            self._sweep = ([v for members in comps for v in members], pred)
+        return self._sweep
+
     def facts(self, s: State | int) -> StateFacts:
         i = _sid(s)
         return StateFacts(
@@ -191,10 +214,14 @@ class Analysis:
         )
 
 
-def _tau_sccs(
-    n: int, tau_succ: list[list[int]]
+def _sccs(
+    n: int, succ: list[list[int]]
 ) -> tuple[list[int], list[list[int]]]:
-    """Strongly connected components of the tau graph, iteratively.
+    """Strongly connected components of a graph, iteratively.
+
+    `succ[v]` lists the successors of state v along whichever edges the
+    caller follows: the tau edges for the predicates, all edges for
+    the elimination order.
 
     Returns the component id of each state and the component member
     lists in emission order, which places every component after all
@@ -219,9 +246,9 @@ def _tau_sccs(
                 stack.append(v)
                 on[v] = True
             descended = False
-            succ = tau_succ[v]
-            while i < len(succ):
-                w = succ[i]
+            out = succ[v]
+            while i < len(out):
+                w = out[i]
                 i += 1
                 if num[w] == -1:
                     work[-1] = (v, i)

@@ -25,6 +25,13 @@ The conv game decides the contextual equivalence it stands for on all
 processes, and conv-div its divergence-sensitive refinement; the
 checker works with the labelled characterizations throughout.
 
+The elimination loop works in rounds.  Each round sweeps the rows of
+the states successors first, so a pair is usually visited after the
+pairs its challenges lead to, and after the first round it re-checks
+only the pairs with a state that has an edge into a row the round
+before changed.  A verdict's `rounds` counts these rounds, including
+the last one, which removes nothing.
+
 A verdict carries the full elimination trace: replaying the trace in
 order re-eliminates exactly the recorded pairs, and `explain` renders
 the trace rooted at the queried pair as an alternating game tree.
@@ -120,7 +127,7 @@ def weak(lts: Lts, label: Label) -> set[tuple[int, int]]:
 # verdicts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertEntry:
     """One eliminated pair: who challenged, how, and in which round.
 
@@ -183,13 +190,23 @@ class Relation:
 def _eliminate(
     lts: Lts, mode: str
 ) -> tuple[list[int], list[CertEntry], int]:
-    """Greatest fixed point by deterministic elimination sweeps.
+    """Greatest fixed point by successor-first elimination rounds.
 
     Starts from the full (or filtered) symmetric relation and removes
-    violated pairs, sweeping in state order until a sweep removes
-    nothing.  The certificate lists removals in the exact order they
-    happened, so a replay that processes entries first to last sees
-    the same candidate relation the checker saw.
+    violated pairs.  A round visits the rows of the states in the
+    order of `Analysis.sweep`, successors first, and each unordered
+    pair of distinct states once, in the row of whichever state comes
+    first, columns ascending; so a pair usually meets the pairs its
+    challenges lead to already decided.  The first round visits every
+    pair; a later one only the pairs with a state that has an edge
+    into a row that lost a pair in the round before, since no other
+    pair's clauses read a changed row.  The loop stops after a round
+    that removes nothing, and that round is counted too.  The identity
+    pairs are never visited: every state answers its own challenges.
+
+    The certificate lists removals in the exact order they happened,
+    so a replay that processes entries first to last sees the same
+    candidate relation the checker saw.
     """
     if mode not in MODES and mode != _CONV_CCS:
         raise ValueError("unknown mode %r" % mode)
@@ -203,56 +220,71 @@ def _eliminate(
     else:
         rel = [(1 << n) - 1] * n
 
+    # the mode's game as a challenge table: per state, each challenging
+    # edge with its clause, its response masks and, for a label whose
+    # target cannot converge, the tau closure the responder may use
+    # instead
     conv_game = mode in (CONV, CONV_DIV, _CONV_CCS)
+    untimed = mode in (USUAL_UNTIMED, _CONV_CCS)
     cc = an.ctx_converge
-    tclo = an.tau_closure
-    weak_masks = an.weak_masks
-
-    def violation(s: int, t: int):
-        """First unanswerable strong challenge of s against t, if any,
-        as its clause, the pair and the challenging edge."""
-        for lab, s2 in lts.succ[s]:
-            kind = lab.kind
-            if kind == "tau":
+    table = []
+    for s, out in enumerate(lts.succ):
+        row = []
+        for lab, s2 in out:
+            extra = None
+            if lab.kind == "tau":
                 clause = "red-tau" if conv_game else "usual-mu"
-                resp = tclo[t]
-            elif kind == "tick":
-                if mode in (USUAL_UNTIMED, _CONV_CCS):
+            elif lab.kind == "tick":
+                if untimed:
                     continue
                 clause = "red-tick" if conv_game else "usual-mu"
-                resp = weak_masks(lab)[t]
             elif conv_game:
                 if not cc[s]:
                     continue
                 clause = "lab"
-                resp = weak_masks(lab)[t]
                 if not cc[s2]:
-                    resp |= tclo[t]
+                    extra = an.tau_closure
             else:
                 clause = "usual-mu"
-                resp = weak_masks(lab)[t]
-            if not resp & rel[s2]:
+            row.append((clause, lab, s2, an.weak_masks(lab), extra))
+        table.append(row)
+
+    def violation(s: int, t: int):
+        """First unanswerable strong challenge of s against t, if any,
+        as its clause, the pair and the challenging edge."""
+        for clause, lab, s2, resp, extra in table[s]:
+            m = resp[t] if extra is None else resp[t] | extra[t]
+            if not m & rel[s2]:
                 return clause, (s, t), (s, lab, s2)
         return None
 
+    # hot: the states whose pairs the round re-checks, all of them at
+    # first; done: the states whose rows the round has swept
+    order, pred = an.sweep
+    hot = -1
     rounds = 0
-    changed = True
-    while changed:
-        changed = False
+    while True:
         rounds += 1
-        for s in range(n):
-            todo = rel[s] & ~((1 << s) - 1)
+        dirty = 0
+        done = 0
+        for s in order:
+            done |= 1 << s
+            todo = rel[s] & ~done
+            if not hot >> s & 1:
+                todo &= hot
             for t in _bits(todo):
-                hit = violation(s, t)
-                if hit is None and t != s:
-                    hit = violation(t, s)
+                hit = violation(s, t) or violation(t, s)
                 if hit is not None:
                     clause, pair, edge = hit
                     cert.append(CertEntry(pair, clause, edge, rounds))
                     rel[s] &= ~(1 << t)
                     rel[t] &= ~(1 << s)
-                    changed = True
-    return rel, cert, rounds
+                    dirty |= 1 << s | 1 << t
+        if not dirty:
+            return rel, cert, rounds
+        hot = 0
+        for r in _bits(dirty):
+            hot |= pred[r]
 
 
 def _agreeing(
@@ -429,11 +461,8 @@ def falsify_with_context(
         for ctx in level:
             cp = plug(ctx, p)
             cq = plug(ctx, q)
-            try:
-                lts = build_lts([cp, cq], defs, bound)
-            except BoundExceeded:
-                lts = None
-            if lts is None or lts.truncated:
+            lts = build_lts([cp, cq], defs, bound)
+            if lts.truncated:
                 if skipped is not None:
                     skipped.append(pretty_context(ctx))
                 continue

@@ -72,6 +72,10 @@ class _Tok:
 
 
 _PUNCT = {"(", ")", "{", "}", ".", "+", "|", "=", ";", ","}
+# names and identifiers are ASCII only; str.isalpha would admit any
+# Unicode letter
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_WORD = _LETTERS | frozenset("0123456789_")
 
 
 def _lex(src: str) -> list[_Tok]:
@@ -115,7 +119,7 @@ def _lex(src: str) -> list[_Tok]:
             continue
         if c == "#":
             j = i + 1
-            while j < n and (src[j].isalnum() or src[j] == "_"):
+            while j < n and src[j] in _WORD:
                 j += 1
             word = src[i:j]
             if len(word) > 1 and word[1:].isdigit():
@@ -127,19 +131,17 @@ def _lex(src: str) -> list[_Tok]:
             col += j - i
             i = j
             continue
-        if c.isalpha():
+        if c in _LETTERS:
             j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
+            while j < n and src[j] in _WORD:
                 j += 1
             word = src[i:j]
             if word in KEYWORDS:
                 toks.append(_Tok(word, word, line, col))
             elif word[0].isupper():
                 toks.append(_Tok("ident", word, line, col))
-            elif word[0].islower():
-                toks.append(_Tok("name", word, line, col))
             else:
-                raise ParseError("bad token %r" % word, line, col)
+                toks.append(_Tok("name", word, line, col))
             col += j - i
             i = j
             continue

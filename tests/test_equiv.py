@@ -21,7 +21,8 @@ from tccs import (
 )
 from tccs.equiv import CONV, CONV_DIV, MODES, USUAL, USUAL_UNTIMED
 from tccs.generate import GenConfig, random_pair, related_pair
-from tccs.terms import TAU, TICK, inp
+from tccs.lts import Lts
+from tccs.terms import NIL, TAU, TICK, DefTable, Prefix, inp
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -190,6 +191,57 @@ def test_check_states_matches_check():
     v2 = check(p, q, CONV, defs)
     assert v1.related == v2.related == False
     assert v1.certificate == v2.certificate
+
+
+# ---------------------------------------------------------------------------
+# the elimination rounds
+
+
+def test_chain_rounds_do_not_grow_with_its_length():
+    # Successor-first rows meet every pair after the pairs it leads to,
+    # so one sweep settles a chain and a second finds nothing; a sweep
+    # in state order needed one per prefix.
+    n = 120
+    res = parse("P = %s;\nQ = tau.%s;\nR = %s;\n" % (
+        "a." * n + "0", "a." * n + "0", "a." * (n - 1) + "0"
+    ))
+    p = res.process("P")
+    for mode in (CONV, USUAL):
+        v = check(p, res.process("Q"), mode, res.defs)
+        assert v.related
+        assert v.rounds <= 3
+        v = check(p, res.process("R"), mode, res.defs)
+        assert not v.related
+        assert v.roots not in _replay(v, v.lts, mode)
+
+
+def _graph(n, edges):
+    """A hand-built graph over n stable states with the given edges."""
+    terms = [Prefix("out", "s%d" % i, NIL) for i in range(n)]
+    succ = [[] for _ in range(n)]
+    for i, lab, j in edges:
+        succ[i].append((lab, j))
+    return Lts(
+        DefTable(), (1, 2), terms, {t: i for i, t in enumerate(terms)},
+        [tuple(out) for out in succ], False,
+    )
+
+
+def test_a_self_loop_rechecks_its_own_row():
+    # Rows go 0, 4, 2, 3, 5, 1.  Round 1 removes (2, 5); round 2 visits
+    # (2, 1) before it removes (2, 3).  Then only the self-loop
+    # 2 -a-> 2 reads the changed row 2 on behalf of (2, 1), whose
+    # answers 1 =a=> 5 and 1 =a=> 3 are both gone: state 2 must count
+    # among its own predecessors, or (2, 1) survives.
+    a, b = inp("a"), inp("b")
+    lts = _graph(6, [
+        (1, a, 5), (2, a, 2), (2, a, 5), (3, a, 2), (5, b, 4), (5, TAU, 3),
+    ])
+    assert set(largest_bisimulation(lts, USUAL).pairs) == Oracle(lts).gfp(USUAL)
+    v = check_states(lts, 2, 1, USUAL)
+    assert not v.related
+    assert v.rounds == 4
+    assert (2, 1) not in _replay(v, lts, USUAL)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,7 @@ def test_comments_and_stdin_friendly_whitespace():
         ("P = (a.0;", 1, 9, "expected ')'"),
         ("P = 'tau.0;", 1, 6, "expected a name"),
         ("x", 1, 1, "expected a definition"),
+        ("P = a.0;\nQ = b\u00e9.0;", 2, 6, "stray character"),
     ],
 )
 def test_errors_carry_position_and_cause(src, line, col, fragment):
