@@ -78,7 +78,8 @@ class Analysis:
     """
 
     __slots__ = (
-        "lts",
+        "succ",
+        "stable",
         "may_converge",
         "ctx_converge",
         "may_diverge",
@@ -92,7 +93,11 @@ class Analysis:
     def __init__(self, lts: Lts) -> None:
         if lts.truncated:
             raise BoundExceeded("analysis needs the full graph")
-        self.lts = lts
+        # Keep two lists, not the graph: the graph holds this record in
+        # `_analysis`, and a cycle would keep a dead graph and its terms
+        # alive until the cyclic collector runs.
+        self.succ = lts.succ
+        self.stable = lts.stable
         n = len(lts)
         tau_succ = [
             [j for lab, j in out if lab.kind == "tau"] for out in lts.succ
@@ -168,7 +173,7 @@ class Analysis:
         if masks is None:
             tclo = self.tau_closure
             pre = [0] * len(tclo)
-            for j, out in enumerate(self.lts.succ):
+            for j, out in enumerate(self.succ):
                 for l2, k in out:
                     if l2 == lab:
                         pre[j] |= tclo[k]
@@ -193,7 +198,7 @@ class Analysis:
         bitmask of the states with an edge, of any label, into j.
         """
         if self._sweep is None:
-            succ = self.lts.succ
+            succ = self.succ
             _, comps = _sccs(len(succ), [[j for _, j in out] for out in succ])
             pred = [0] * len(succ)
             for i, out in enumerate(succ):
@@ -205,7 +210,7 @@ class Analysis:
     def facts(self, s: State | int) -> StateFacts:
         i = _sid(s)
         return StateFacts(
-            stable=self.lts.stable[i],
+            stable=self.stable[i],
             may_converge=self.may_converge[i],
             ctx_converge=self.ctx_converge[i],
             may_diverge=self.may_diverge[i],

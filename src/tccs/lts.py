@@ -190,7 +190,9 @@ class Lts:
     """Rooted transition graph over canonical states.
 
     `terms[i]` is the canonical term of state i, `succ[i]` its ordered
-    outgoing edges.  `stable` and `commit` cache the per-state stance
+    outgoing edges, and `index` maps each canonical term back to its
+    state.  Terms are hash-consed, so `index` looks a term up by
+    identity.  `stable` and `commit` cache the per-state stance
     toward time: a state is stable when it has no tau edge, and the
     commitment set is present exactly on stable states.  `_analysis`
     is a write-once cache for everything derived from the graph, filled

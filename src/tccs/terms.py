@@ -11,13 +11,18 @@ are produced by a NameSupply for derived forms and for capture
 avoidance.  The two can never collide.  Names are plain interned
 strings, so equality of names is string equality.
 
-Every node precomputes its hash and its free-name set, which keeps
-state interning and capture checks cheap when the transition engine
-explores large graphs.
+Nodes are hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", 2006): all live nodes sit in one weak table, and a
+constructor returns the existing node for a class and fields it has
+seen, so equal terms are one object and compare by identity.  Every
+node precomputes its free-name set, which keeps capture checks cheap,
+and caches its printed form on first use, which is the sort key of
+canonical forms and of successor lists.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 __all__ = [
@@ -190,33 +195,68 @@ def parse_label(text: str) -> Label:
 class Process:
     """Base of all process nodes.
 
-    Subclasses fill in `free` (the free name set) and `_hash` during
-    construction.  Equality is structural; bound names are compared
-    literally, so alpha-variants are distinct terms until canonicalize
-    renames their binders into the machine name space.
+    Nodes are hash-consed: a constructor returns the live node with the
+    same class and fields when there is one, so two terms are equal
+    exactly when they are the same object, and the default identity
+    `==` and `hash` apply.  Bound names are compared literally, so
+    alpha-variants are distinct terms until canonicalize renames their
+    binders into the machine name space.  Each subclass's `_build`
+    checks and fills its fields and `free`, the free name set, once per
+    distinct term; `_text` caches the printed form, filled by `pretty`.
     """
 
-    __slots__ = ("free", "_hash")
+    __slots__ = ("free", "_text", "__weakref__")
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        entry = _table.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node._build(*fields)
+        node._text = None
+        entry = _table[key] = _Entry(node, _forget)
+        entry.key = key
+        return node
+
+    def __reduce__(self):
+        # copies and unpickled terms go through the table as well
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __repr__(self) -> str:
         return pretty(self)
+
+
+class _Entry(weakref.ref):
+    """The table's weak reference to a node, carrying the node's key."""
+
+    __slots__ = ("key",)
+
+
+# Every live node, keyed by its class and fields.  Child fields are
+# nodes themselves, already in the table, so a key is compared and
+# hashed by the identity of the children.  The table takes no lock:
+# terms are built from one thread at a time.
+_table: dict[tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry, table: dict[tuple, _Entry] = _table) -> None:
+    # A node died.  Its key may already name a newer node, built after
+    # the entry went dead but before this callback ran.  The table is
+    # bound as a default so that nodes dying while the interpreter
+    # shuts down still find it.
+    if table.get(entry.key) is entry:
+        del table[entry.key]
 
 
 class Nil(Process):
     __slots__ = ()
     __match_args__ = ()
 
-    def __init__(self) -> None:
+    def _build(self) -> None:
         self.free = frozenset()
-        self._hash = hash(("Nil",))
-
-    __hash__ = Process.__hash__
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Nil)
 
 
 NIL = Nil()
@@ -226,146 +266,70 @@ class Prefix(Process):
     __slots__ = ("polarity", "name", "cont")
     __match_args__ = ("polarity", "name", "cont")
 
-    def __init__(self, polarity: str, name: str, cont: Process) -> None:
+    def _build(self, polarity: str, name: str, cont: Process) -> None:
         if polarity not in ("in", "out"):
             raise ValueError("bad polarity %r" % polarity)
         self.polarity = polarity
         self.name = name
         self.cont = cont
         self.free = cont.free | {name}
-        self._hash = hash(("Prefix", polarity, name, cont._hash))
 
     @property
     def label(self) -> Label:
         return Label(self.polarity, self.name)
-
-    __hash__ = Process.__hash__
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is Prefix
-            and self._hash == other._hash
-            and self.polarity == other.polarity
-            and self.name == other.name
-            and self.cont == other.cont
-        )
 
 
 class Sum(Process):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
 
-    def __init__(self, left: Process, right: Process) -> None:
+    def _build(self, left: Process, right: Process) -> None:
         self.left = left
         self.right = right
         self.free = left.free | right.free
-        self._hash = hash(("Sum", left._hash, right._hash))
-
-    __hash__ = Process.__hash__
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is Sum
-            and self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
-        )
 
 
 class Par(Process):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
 
-    def __init__(self, left: Process, right: Process) -> None:
+    def _build(self, left: Process, right: Process) -> None:
         self.left = left
         self.right = right
         self.free = left.free | right.free
-        self._hash = hash(("Par", left._hash, right._hash))
-
-    __hash__ = Process.__hash__
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is Par
-            and self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
-        )
 
 
 class Restrict(Process):
     __slots__ = ("name", "body")
     __match_args__ = ("name", "body")
 
-    def __init__(self, name: str, body: Process) -> None:
+    def _build(self, name: str, body: Process) -> None:
         self.name = name
         self.body = body
         self.free = body.free - {name}
-        self._hash = hash(("Restrict", name, body._hash))
-
-    __hash__ = Process.__hash__
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is Restrict
-            and self._hash == other._hash
-            and self.name == other.name
-            and self.body == other.body
-        )
 
 
 class Call(Process):
     __slots__ = ("ident", "args")
     __match_args__ = ("ident", "args")
 
-    def __init__(self, ident: str, args: tuple[str, ...] = ()) -> None:
+    def __new__(cls, ident: str, args: tuple[str, ...] = ()) -> "Call":
+        return super().__new__(cls, ident, tuple(args))
+
+    def _build(self, ident: str, args: tuple[str, ...]) -> None:
         self.ident = ident
-        self.args = tuple(args)
-        self.free = frozenset(self.args)
-        self._hash = hash(("Call", ident, self.args))
-
-    __hash__ = Process.__hash__
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is Call
-            and self._hash == other._hash
-            and self.ident == other.ident
-            and self.args == other.args
-        )
+        self.args = args
+        self.free = frozenset(args)
 
 
 class ElseNext(Process):
     __slots__ = ("now", "later")
     __match_args__ = ("now", "later")
 
-    def __init__(self, now: Process, later: Process) -> None:
+    def _build(self, now: Process, later: Process) -> None:
         self.now = now
         self.later = later
         self.free = now.free | later.free
-        self._hash = hash(("ElseNext", now._hash, later._hash))
-
-    __hash__ = Process.__hash__
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is ElseNext
-            and self._hash == other._hash
-            and self.now == other.now
-            and self.later == other.later
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -537,30 +501,38 @@ def substitute(p: Process, mapping: dict[str, str]) -> Process:
 
 
 def pretty(p: Process) -> str:
-    return _pp(p, 0)
+    return p._text or _pp(p, 0)
 
 
 def _pp(p: Process, level: int) -> str:
-    # level 0: composition, 1: sum, 2: prefix operand
-    match p:
-        case Nil():
-            return "0"
-        case Prefix(pol, a, k):
-            act = a if pol == "in" else "'" + a
-            return "%s.%s" % (act, _pp(k, 2))
-        case Sum(l, r):
-            text = "%s + %s" % (_pp(l, 1), _pp(r, 2))
-            return "(%s)" % text if level >= 2 else text
-        case Par(l, r):
-            text = "%s | %s" % (_pp(l, 0), _pp(r, 1))
-            return "(%s)" % text if level >= 1 else text
-        case Restrict(a, b):
-            return "new %s. %s" % (a, _pp(b, 2))
-        case Call(ident, args):
-            return "%s(%s)" % (ident, ", ".join(args))
-        case ElseNext(n, l):
-            return "{%s} else %s" % (_pp(n, 0), _pp(l, 2))
-    raise AssertionError("unreachable node %r" % p)
+    # level 0: composition, 1: sum, 2: prefix operand.  The text at
+    # level 0 is cached on the node; the other levels at most add
+    # parentheses around it.  This stays one frame per term level, so
+    # the cache does not lower the depth of the terms that print.
+    text = p._text
+    if text is None:
+        match p:
+            case Nil():
+                text = "0"
+            case Prefix(pol, a, k):
+                act = a if pol == "in" else "'" + a
+                text = "%s.%s" % (act, _pp(k, 2))
+            case Sum(l, r):
+                text = "%s + %s" % (_pp(l, 1), _pp(r, 2))
+            case Par(l, r):
+                text = "%s | %s" % (_pp(l, 0), _pp(r, 1))
+            case Restrict(a, b):
+                text = "new %s. %s" % (a, _pp(b, 2))
+            case Call(ident, args):
+                text = "%s(%s)" % (ident, ", ".join(args))
+            case ElseNext(n, l):
+                text = "{%s} else %s" % (_pp(n, 0), _pp(l, 2))
+            case _:
+                raise AssertionError("unreachable node %r" % p)
+        p._text = text
+    if (level >= 2 and type(p) is Sum) or (level >= 1 and type(p) is Par):
+        return "(%s)" % text
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +559,9 @@ def _canon(p: Process, ren: dict[str, str]) -> Process:
         case Nil():
             return p
         case Call(f, args):
-            if not any(a in ren for a in args):
-                return p
             return Call(f, tuple(ren.get(a, a) for a in args))
         case Prefix(pol, a, k):
-            k2 = _canon(k, ren)
-            a2 = ren.get(a, a)
-            return p if (k2 is k and a2 is a) else Prefix(pol, a2, k2)
+            return Prefix(pol, ren.get(a, a), _canon(k, ren))
         case Sum(_, _):
             # a branch may canonicalize into a sum itself, so flatten again
             parts = [
@@ -606,7 +574,7 @@ def _canon(p: Process, ren: dict[str, str]) -> Process:
                 r
                 for q in _flat(p, Par)
                 for r in _flat(_canon(q, ren), Par)
-                if r != NIL
+                if r is not NIL
             ]
             if not parts:
                 return NIL
@@ -625,11 +593,9 @@ def _canon(p: Process, ren: dict[str, str]) -> Process:
             while "#%d" % k in occupied:
                 k += 1
             cand = "#%d" % k
-            b2 = _canon(b, {**ren, a: cand})
-            return p if (cand == a and b2 is b) else Restrict(cand, b2)
+            return Restrict(cand, _canon(b, {**ren, a: cand}))
         case ElseNext(n, l):
-            n2, l2 = _canon(n, ren), _canon(l, ren)
-            return p if (n2 is n and l2 is l) else ElseNext(n2, l2)
+            return ElseNext(_canon(n, ren), _canon(l, ren))
     raise AssertionError("unreachable node %r" % p)
 
 

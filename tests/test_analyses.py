@@ -1,6 +1,8 @@
 """Predicates over graphs: implications among them, oracle agreement."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +14,12 @@ from tccs import (
     build_lts,
     facts,
     facts_line,
+    inp,
     parse,
     parse_proc,
 )
 from tccs.generate import GenConfig, random_reactive_term, random_term
+from tccs.terms import _table
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -63,6 +67,25 @@ def test_reactivity_sees_through_visible_actions():
     lts = _graph("a.Omega")
     f = facts(lts, lts.roots[0])
     assert f.stable and f.may_converge and not f.reactive_root
+
+
+def test_a_dropped_analysed_graph_frees_its_terms():
+    # Without the cyclic collector, only a graph that no cycle holds is
+    # freed when its last reference goes, and its terms with it.
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(_table)
+        res = parse("C(x, y) = x.tau.'y.C(x, y);\nR = C(u, v) | C(v, u);\n")
+        lts = build_lts([res.process("R")], res.defs)
+        an = analysis(lts)
+        an.sweep, an.weak_masks(inp("u"))
+        refs = [weakref.ref(t) for t in lts.terms]
+        del res, lts, an
+        assert [r for r in refs if r() is not None] == []
+        assert len(_table) == before
+    finally:
+        gc.enable()
 
 
 def test_truncated_graph_refused():

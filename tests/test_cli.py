@@ -1,10 +1,16 @@
-"""Front end, driven in process through main(argv)."""
+"""Front end, driven in process through main(argv), and in subprocesses
+where the interpreter's hash seed matters."""
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tccs
 from tccs.cli import main
 
 PROGRAM = """\
@@ -141,6 +147,49 @@ def test_check_json_verdict(prog, capsys):
         set(e) == {"pair", "clause", "challenge", "round"}
         for e in doc["certificate"]
     )
+
+
+def test_check_two_separately_written_deep_chains(tmp_path, capsys):
+    chain = "a." * 900 + "0"
+    f = tmp_path / "deep.tccs"
+    f.write_text("P = %s;\nQ = %s;\n" % (chain, chain), encoding="ascii")
+    assert main(["check", str(f), "-p", "P", "-q", "Q", "--rel", "usual"]) == 0
+    assert capsys.readouterr().out == "related\n"
+
+
+# the corpus item "branching point moved across a prefix"
+BRANCHING = """\
+P = a.(b.0 + c.0) | 'a.(d.0 + Omega);
+Q = (a.b.0 + a.c.0) | 'a.(d.0 + Omega);
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    f = tmp_path / "branching.tccs"
+    f.write_text(BRANCHING, encoding="ascii")
+    commands = (
+        ["lts", str(f), "-p", "P", "--format", "json"],
+        ["check", str(f), "-p", "P", "-q", "Q", "--rel", "conv",
+         "--format", "json"],
+        ["check", str(f), "-p", "P", "-q", "Q", "--rel", "usual"],
+    )
+    src = str(Path(tccs.__file__).resolve().parent.parent)
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        runs.append([
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from tccs.cli import main; sys.exit(main())",
+                 *argv],
+                env=env, capture_output=True, timeout=120,
+            )
+            for argv in commands
+        ])
+    for a, b in zip(*runs):
+        assert a.stderr == b"" and b.stderr == b""
+        assert (a.returncode, a.stdout) == (b.returncode, b.stdout)
+    assert [r.returncode for r in runs[0]] == [0, 1, 1]
 
 
 def test_check_falsify_reports_a_context(prog, capsys):

@@ -1,5 +1,7 @@
 """Syntax-level laws: printing, canonical forms, renaming, classification."""
 
+import gc
+import pickle
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from tccs import (
 )
 from tccs.generate import GenConfig, random_ccs_term, random_sl_program, random_term
 from tccs.lts import step
-from tccs.terms import NIL, Par, Prefix, Restrict, Sum, all_names, internal_choice, make_tau
+from tccs.terms import NIL, Par, Prefix, Restrict, Sum, _table, all_names, internal_choice, make_tau
 
 CFG = GenConfig(depth=4, max_defs=2)
 
@@ -27,7 +29,8 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 def test_pretty_parse_round_trip(seed):
     p, defs = random_term(random.Random(seed), CFG)
     q, _ = parse_proc(pretty(p), defs=defs)
-    assert q == p
+    assert q is p
+    assert pickle.loads(pickle.dumps(p)) is p
 
 
 @given(seeds)
@@ -44,7 +47,22 @@ def test_pretty_is_stable_after_reparse(seed):
 def test_canonicalize_idempotent(seed):
     p, _ = random_term(random.Random(seed), CFG)
     c = canonicalize(p)
-    assert canonicalize(c) == c
+    assert canonicalize(c) is c
+
+
+def test_dropped_terms_leave_the_intern_table():
+    gc.collect()
+    before = len(_table)
+    rng = random.Random(7)
+    batch = []
+    for _ in range(200):
+        p, defs = random_term(rng, CFG)
+        c = canonicalize(p)
+        batch.append((p, c, pretty(c), step(c, defs)))
+    assert len(_table) > before
+    del batch, p, c, defs
+    gc.collect()
+    assert len(_table) == before
 
 
 @given(seeds)
