@@ -7,7 +7,8 @@ distinguishing context), step (an interactive stepper), and
 paper-suite (the bundled example corpus).
 
 Exit codes: 0 success or related; 1 not related; 2 usage or parse
-error; 3 state bound exceeded.
+error; 3 state bound exceeded; 4 internal error, such as a bug or an
+input nested too deeply, reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 
 from .analyses import facts, facts_line
 from .corpus import run_suite
-from .equiv import MODES, check, explain, falsify_with_context
+from .equiv import MODES, UntimedRefusal, check, explain, falsify_with_context
 from .lts import BoundExceeded, Lts, build_lts, step, to_dot, to_json
 from .parser import ParseError, ParseResult, parse
 from .terms import Label, Process, pretty, pretty_context
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_NOT_RELATED = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -198,7 +200,7 @@ def _cmd_check(args) -> int:
     q = _resolve(res, args.q)
     try:
         verdict = check(p, q, args.rel, res.defs, args.bound)
-    except ValueError as exc:
+    except UntimedRefusal as exc:
         raise UsageError(str(exc))
     if args.falsify:
         skipped: list[str] = []
@@ -292,6 +294,10 @@ def main(argv: list[str] | None = None) -> int:
     except BoundExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BOUND
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -84,6 +84,7 @@ __all__ = [
     "Relation",
     "CertEntry",
     "EquivVerdict",
+    "UntimedRefusal",
     "weak",
     "largest_bisimulation",
     "check",
@@ -336,7 +337,11 @@ def check(
     defs: DefTable | None = None,
     bound: int = 10000,
 ) -> EquivVerdict:
-    """Build the joint graph of p and q and decide the given relation."""
+    """Build the joint graph of p and q and decide the given relation.
+
+    An unknown mode raises ValueError.  The untimed modes raise
+    UntimedRefusal, a ValueError too, when p or q mentions else_next.
+    """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % mode)
     return _decide(p, q, mode, defs, bound)
@@ -369,7 +374,7 @@ def _decide(
     if mode in (USUAL_UNTIMED, _CONV_CCS):
         for r in (p, q):
             if not classify(r, defs).is_ccs:
-                raise ValueError(
+                raise UntimedRefusal(
                     "%s compares only processes without else_next" % mode
                 )
     lts = build_lts([p, q], defs, bound)
@@ -378,6 +383,10 @@ def _decide(
             "state bound %d exceeded while building the graph" % bound
         )
     return check_states(lts, *lts.roots, mode)
+
+
+class UntimedRefusal(ValueError):
+    """An untimed mode was given a process that mentions else_next."""
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,11 @@ constructor returns the existing node for a class and fields it has
 seen, so equal terms are one object and compare by identity.  Every
 node precomputes its free-name set, which keeps capture checks cheap,
 and caches its printed form on first use, which is the sort key of
-canonical forms and of successor lists.
+canonical forms and of successor lists.  It also caches its canonical
+form on first use, in the style of the per-node memo tables that
+hash-consing makes safe: a successor of a canonical state shares every
+component but the one that moved, so canonicalizing it rebuilds only
+that component.
 """
 
 from __future__ import annotations
@@ -203,9 +207,16 @@ class Process:
     binders into the machine name space.  Each subclass's `_build`
     checks and fills its fields and `free`, the free name set, once per
     distinct term; `_text` caches the printed form, filled by `pretty`.
+    `_canonical` caches the canonical form, filled by `canonicalize`:
+    None until known, the module marker `_CANONICAL` when the node is
+    its own canonical form (a node never points at itself, which would
+    be a reference cycle), and otherwise the canonical node.  Inside a
+    binder `_canon` reads or fills it only when no name it is renaming
+    is free in the node, because only then is the canonical form of the
+    node the one wanted there.
     """
 
-    __slots__ = ("free", "_text", "__weakref__")
+    __slots__ = ("free", "_text", "_canonical", "__weakref__")
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -217,6 +228,7 @@ class Process:
         node = object.__new__(cls)
         node._build(*fields)
         node._text = None
+        node._canonical = None
         entry = _table[key] = _Entry(node, _forget)
         entry.key = key
         return node
@@ -551,24 +563,40 @@ def canonicalize(p: Process) -> Process:
     return _canon(p, {})
 
 
+# The `_canonical` slot of a node that is its own canonical form: a
+# node pointing at itself would be a reference cycle, and every dead
+# term would wait for the cyclic collector.
+_CANONICAL = object()
+
+
 def _canon(p: Process, ren: dict[str, str]) -> Process:
     # `ren` carries the chosen image of every enclosing binder and is
     # applied to free occurrences on the way down, so alpha-variants
-    # land on one representative without a separate renaming pass.
+    # land on one representative without a separate renaming pass.  It
+    # never maps a name to itself.  The result depends on `ren` only
+    # through the free names of `p`, so when none of them is renamed
+    # the result is the canonical form of `p`, read from and stored in
+    # its slot.  Lookup and store stay in this frame: a wrapper would
+    # double the frames per term level.
+    memo = not ren or p.free.isdisjoint(ren)
+    if memo:
+        c = p._canonical
+        if c is not None:
+            return p if c is _CANONICAL else c
     match p:
         case Nil():
-            return p
+            c = p
         case Call(f, args):
-            return Call(f, tuple(ren.get(a, a) for a in args))
+            c = Call(f, tuple(ren.get(a, a) for a in args))
         case Prefix(pol, a, k):
-            return Prefix(pol, ren.get(a, a), _canon(k, ren))
+            c = Prefix(pol, ren.get(a, a), _canon(k, ren))
         case Sum(_, _):
             # a branch may canonicalize into a sum itself, so flatten again
             parts = [
                 r for q in _flat(p, Sum) for r in _flat(_canon(q, ren), Sum)
             ]
             parts.sort(key=pretty)
-            return _rebuild(parts, Sum)
+            c = _rebuild(parts, Sum)
         case Par(_, _):
             parts = [
                 r
@@ -577,32 +605,55 @@ def _canon(p: Process, ren: dict[str, str]) -> Process:
                 if r is not NIL
             ]
             if not parts:
-                return NIL
-            if len(parts) == 1:
-                return parts[0]
-            parts.sort(key=pretty)
-            return _rebuild(parts, Par)
+                c = NIL
+            elif len(parts) == 1:
+                c = parts[0]
+            else:
+                parts.sort(key=pretty)
+                c = _rebuild(parts, Par)
         case Restrict(a, b):
             if a not in b.free:
-                return _canon(b, ren)
-            # the binder becomes the first machine name clashing with no
-            # free name of the body; bound names of the body do not
-            # matter, their own scopes rename independently
-            occupied = {ren.get(x, x) for x in b.free if x != a}
-            k = 1
-            while "#%d" % k in occupied:
-                k += 1
-            cand = "#%d" % k
-            return Restrict(cand, _canon(b, {**ren, a: cand}))
+                c = _canon(b, ren)
+            else:
+                # the binder becomes the first machine name clashing with
+                # no free name of the body; bound names of the body do
+                # not matter, their own scopes rename independently
+                occupied = {ren.get(x, x) for x in b.free if x != a}
+                k = 1
+                while "#%d" % k in occupied:
+                    k += 1
+                cand = "#%d" % k
+                # a binder keeping its name gets no entry, but still
+                # shadows any outer image of that name
+                inner = {x: y for x, y in ren.items() if x != a}
+                if cand != a:
+                    inner[a] = cand
+                c = Restrict(cand, _canon(b, inner))
         case ElseNext(n, l):
-            return ElseNext(_canon(n, ren), _canon(l, ren))
-    raise AssertionError("unreachable node %r" % p)
+            c = ElseNext(_canon(n, ren), _canon(l, ren))
+        case _:
+            raise AssertionError("unreachable node %r" % p)
+    if memo:
+        c._canonical = _CANONICAL
+        if c is not p:
+            p._canonical = c
+    return c
 
 
 def _flat(p: Process, cls: type) -> list[Process]:
-    if type(p) is cls:
-        return _flat(p.left, cls) + _flat(p.right, cls)  # type: ignore[attr-defined]
-    return [p]
+    # the operands of a nest of `cls` nodes, left to right
+    if type(p) is not cls:
+        return [p]
+    parts = []
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if type(q) is cls:
+            stack.append(q.right)  # type: ignore[attr-defined]
+            stack.append(q.left)  # type: ignore[attr-defined]
+        else:
+            parts.append(q)
+    return parts
 
 
 def _rebuild(parts: list[Process], cls: type) -> Process:

@@ -19,6 +19,7 @@ from tccs.terms import (
     DefTable,
     ElseNext,
     Label,
+    Nil,
     Par,
     Prefix,
     Process,
@@ -27,6 +28,7 @@ from tccs.terms import (
     canonicalize,
     ensure_builtins,
     make_tau,
+    pretty,
 )
 
 USUAL = "usual"
@@ -244,3 +246,69 @@ def small_terms(
                     add(layer, ElseNext(left, right))
         by_size.append(layer)
     return [t for layer in by_size for t in layer]
+
+
+def canonical(p: Process) -> Process:
+    """The canonical form of p, recomputed from the root with no cache.
+
+    A literal rewrite of the canonicalizer as it stood before canonical
+    forms were cached on the nodes: it reads no `_canonical` slot, so
+    it checks that the cache changes no canonical form.
+    """
+    return _canonical(p, {})
+
+
+def _canonical(p: Process, ren: dict[str, str]) -> Process:
+    match p:
+        case Nil():
+            return p
+        case Call(f, args):
+            return Call(f, tuple(ren.get(a, a) for a in args))
+        case Prefix(pol, a, k):
+            return Prefix(pol, ren.get(a, a), _canonical(k, ren))
+        case Sum(_, _):
+            parts = [
+                r
+                for q in _operands(p, Sum)
+                for r in _operands(_canonical(q, ren), Sum)
+            ]
+            parts.sort(key=pretty)
+            return _nest(parts, Sum)
+        case Par(_, _):
+            parts = [
+                r
+                for q in _operands(p, Par)
+                for r in _operands(_canonical(q, ren), Par)
+                if r is not NIL
+            ]
+            if not parts:
+                return NIL
+            if len(parts) == 1:
+                return parts[0]
+            parts.sort(key=pretty)
+            return _nest(parts, Par)
+        case Restrict(a, b):
+            if a not in b.free:
+                return _canonical(b, ren)
+            occupied = {ren.get(x, x) for x in b.free if x != a}
+            k = 1
+            while "#%d" % k in occupied:
+                k += 1
+            cand = "#%d" % k
+            return Restrict(cand, _canonical(b, {**ren, a: cand}))
+        case ElseNext(n, l):
+            return ElseNext(_canonical(n, ren), _canonical(l, ren))
+    raise AssertionError("unreachable node %r" % p)
+
+
+def _operands(p: Process, cls: type) -> list[Process]:
+    if type(p) is cls:
+        return _operands(p.left, cls) + _operands(p.right, cls)
+    return [p]
+
+
+def _nest(parts: list[Process], cls: type) -> Process:
+    acc = parts[0]
+    for q in parts[1:]:
+        acc = cls(acc, q)
+    return acc

@@ -164,14 +164,23 @@ Q = (a.b.0 + a.c.0) | 'a.(d.0 + Omega);
 """
 
 
+RING = """\
+Cyc(x, y) = x.tau.'y.Cyc(x, y);
+R = Cyc(a, b) | Cyc(b, c) | Cyc(c, a) | 'a.0;
+"""
+
+
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     f = tmp_path / "branching.tccs"
     f.write_text(BRANCHING, encoding="ascii")
+    ring = tmp_path / "ring.tccs"
+    ring.write_text(RING, encoding="ascii")
     commands = (
         ["lts", str(f), "-p", "P", "--format", "json"],
         ["check", str(f), "-p", "P", "-q", "Q", "--rel", "conv",
          "--format", "json"],
         ["check", str(f), "-p", "P", "-q", "Q", "--rel", "usual"],
+        ["lts", str(ring), "-p", "R", "--format", "json"],
     )
     src = str(Path(tccs.__file__).resolve().parent.parent)
     runs = []
@@ -189,7 +198,8 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     for a, b in zip(*runs):
         assert a.stderr == b"" and b.stderr == b""
         assert (a.returncode, a.stdout) == (b.returncode, b.stdout)
-    assert [r.returncode for r in runs[0]] == [0, 1, 1]
+    assert [r.returncode for r in runs[0]] == [0, 1, 1, 0]
+    assert len(json.loads(runs[0][3].stdout)["states"]) > 50
 
 
 def test_check_falsify_reports_a_context(prog, capsys):
@@ -209,6 +219,26 @@ def test_check_rejects_untimed_mode_on_timed_terms(tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_an_engine_error_is_an_internal_error_not_a_usage_error(
+    prog, capsys, monkeypatch
+):
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(tccs.cli, "check", broken)
+    assert main(["check", prog, "-p", "Z", "-q", "Z"]) == 4
+    assert capsys.readouterr().err == "internal error: ValueError: boom\n"
+
+
+def test_a_too_deep_term_is_an_internal_error_in_one_line(tmp_path, capsys):
+    f = tmp_path / "deep.tccs"
+    f.write_text("P = %s0;\n" % ("a." * 3000), encoding="ascii")
+    assert main(["parse", str(f)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RecursionError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_check_bad_mode_is_an_argparse_error(prog, capsys):

@@ -6,6 +6,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import canonical
 from tccs import (
     DefTable,
     NameSupply,
@@ -17,7 +18,18 @@ from tccs import (
 )
 from tccs.generate import GenConfig, random_ccs_term, random_sl_program, random_term
 from tccs.lts import step
-from tccs.terms import NIL, Par, Prefix, Restrict, Sum, _table, all_names, internal_choice, make_tau
+from tccs.terms import (
+    NIL,
+    Par,
+    Prefix,
+    Process,
+    Restrict,
+    Sum,
+    _table,
+    all_names,
+    internal_choice,
+    make_tau,
+)
 
 CFG = GenConfig(depth=4, max_defs=2)
 
@@ -50,19 +62,69 @@ def test_canonicalize_idempotent(seed):
     assert canonicalize(c) is c
 
 
+def _subterms(p):
+    out, stack = [], [p]
+    while stack:
+        q = stack.pop()
+        out.append(q)
+        stack.extend(
+            getattr(q, f) for f in q.__match_args__
+            if isinstance(getattr(q, f), Process)
+        )
+    return out
+
+
+def _agrees_with_the_reference(*terms):
+    # in order, so that earlier terms fill the slots later ones meet
+    for t in terms:
+        for s in _subterms(t) + _subterms(canonicalize(t)):
+            assert canonicalize(s) is canonical(s), pretty(s)
+
+
+@given(seeds)
+@settings(max_examples=150, deadline=None)
+def test_cached_canonical_forms_match_the_uncached_reference(seed):
+    p, _ = random_term(random.Random(seed), CFG)
+    _agrees_with_the_reference(p, *(Restrict(a, p) for a in sorted(p.free)))
+
+
+def test_a_canonicalized_subterm_renamed_under_a_binder():
+    a, b = Prefix("in", "a", NIL), Prefix("out", "b", NIL)
+    _agrees_with_the_reference(Par(a, b), Restrict("a", Par(a, b)))
+    _agrees_with_the_reference(a, b, Restrict("b", Sum(b, a)))
+    # shadowing, by a user name and by a machine name kept by its binder
+    _agrees_with_the_reference(Restrict("a", Restrict("a", a)))
+    _agrees_with_the_reference(Restrict("a", Par(a, Restrict("a", a))))
+    m2, y = Prefix("in", "#2", NIL), Prefix("in", "y", NIL)
+    deep = Restrict("#2", Par(m2, Restrict("y", Par(y, Restrict("#2", Par(m2, y))))))
+    _agrees_with_the_reference(deep)
+    assert pretty(canonicalize(deep)) == (
+        "new #1. (#1.0 | new #1. (#1.0 | new #2. (#1.0 | #2.0)))"
+    )
+    # an already canonical body, met again under an outer binder
+    c = canonicalize(Restrict("a", Par(a, b)))
+    assert pretty(c) == "new #1. (#1.0 | 'b.0)"
+    _agrees_with_the_reference(c, Restrict("b", Par(c, Prefix("in", "b", NIL))))
+
+
 def test_dropped_terms_leave_the_intern_table():
+    # Without the cyclic collector, only terms that no cycle holds are
+    # freed when their last reference goes.
     gc.collect()
-    before = len(_table)
-    rng = random.Random(7)
-    batch = []
-    for _ in range(200):
-        p, defs = random_term(rng, CFG)
-        c = canonicalize(p)
-        batch.append((p, c, pretty(c), step(c, defs)))
-    assert len(_table) > before
-    del batch, p, c, defs
-    gc.collect()
-    assert len(_table) == before
+    gc.disable()
+    try:
+        before = len(_table)
+        rng = random.Random(7)
+        batch = []
+        for _ in range(200):
+            p, defs = random_term(rng, CFG)
+            c = canonicalize(p)
+            batch.append((p, c, pretty(c), step(c, defs)))
+        assert len(_table) > before
+        del batch, p, c, defs
+        assert len(_table) == before
+    finally:
+        gc.enable()
 
 
 @given(seeds)
