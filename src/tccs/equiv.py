@@ -32,9 +32,10 @@ only the pairs with a state that has an edge into a row the round
 before changed.  A verdict's `rounds` counts these rounds, including
 the last one, which removes nothing.
 
-A verdict carries the full elimination trace: replaying the trace in
-order re-eliminates exactly the recorded pairs, and `explain` renders
-the trace rooted at the queried pair as an alternating game tree.
+A negative verdict's certificate is the refutation cone of the queried
+pair: the removals its refutation reads, transitively, in the order
+they happened.  Replaying them re-eliminates exactly those pairs, and
+`explain` prints each of them once, root first.
 
 `falsify_with_context` is the contextual side of the story: a bounded
 enumeration of static contexts over a fixed tester family.  It only
@@ -49,6 +50,7 @@ coincide.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from .analyses import analysis, may_converge
@@ -132,9 +134,10 @@ def weak(lts: Lts, label: Label) -> set[tuple[int, int]]:
 class CertEntry:
     """One eliminated pair: who challenged, how, and in which round.
 
-    A challenge-free entry records a pair discarded by an initial
-    filter (divergence agreement, or may-convergence agreement for the
-    untimed variant); those carry round 0.
+    Every weak response to the challenge leads to a pair with an entry
+    earlier in the same certificate.  A challenge-free entry records a
+    pair discarded by an initial filter (divergence agreement, or
+    may-convergence agreement for the untimed variant), in round 0.
     """
 
     pair: tuple[int, int]
@@ -188,9 +191,53 @@ class Relation:
 # the elimination loop
 
 
-def _eliminate(
-    lts: Lts, mode: str
-) -> tuple[list[int], list[CertEntry], int]:
+# the clause of a mode's initial filter; the flag it compares is the
+# analysis attribute "may_" + clause
+_FILTERS = {CONV_DIV: "diverge", _CONV_CCS: "converge"}
+
+
+def _game(lts: Lts, an, mode: str) -> list[list[tuple]]:
+    """The mode's challenge table, the one copy of its response rule:
+    per state, each challenging edge as (clause, label, target,
+    answers), where answers[t] masks the weak responses of state t.
+
+    In the conv games a label challenges only from a ctx_converge
+    state, and when its target cannot converge the responder may also
+    answer with internal steps alone.
+    """
+    conv_game = mode in (CONV, CONV_DIV, _CONV_CCS)
+    untimed = mode in (USUAL_UNTIMED, _CONV_CCS)
+    cc = an.ctx_converge
+    or_tau: dict[Label, list[int]] = {}
+    table = []
+    for s, out in enumerate(lts.succ):
+        row = []
+        for lab, s2 in out:
+            if lab.kind == "tau":
+                clause = "red-tau" if conv_game else "usual-mu"
+            elif lab.kind == "tick":
+                if untimed:
+                    continue
+                clause = "red-tick" if conv_game else "usual-mu"
+            elif conv_game:
+                if not cc[s]:
+                    continue
+                clause = "lab"
+            else:
+                clause = "usual-mu"
+            answers = an.weak_masks(lab)
+            if clause == "lab" and not cc[s2]:
+                if lab not in or_tau:
+                    or_tau[lab] = [
+                        w | c for w, c in zip(answers, an.tau_closure)
+                    ]
+                answers = or_tau[lab]
+            row.append((clause, lab, s2, answers))
+        table.append(row)
+    return table
+
+
+def _eliminate(lts: Lts, mode: str) -> tuple[list[int], array, int, list]:
     """Greatest fixed point by successor-first elimination rounds.
 
     Starts from the full (or filtered) symmetric relation and removes
@@ -205,58 +252,36 @@ def _eliminate(
     that removes nothing, and that round is counted too.  The identity
     pairs are never visited: every state answers its own challenges.
 
-    The certificate lists removals in the exact order they happened,
-    so a replay that processes entries first to last sees the same
-    candidate relation the checker saw.
+    Returns the relation as row masks, the removal log, the rounds and
+    the challenge table.  The log holds four ints per removal, in order:
+    challenger, responder, the challenge's index in the challenger's
+    row (-1 for the initial filter) and the round (0 for the filter).
     """
     if mode not in MODES and mode != _CONV_CCS:
         raise ValueError("unknown mode %r" % mode)
     n = len(lts)
     an = analysis(lts)
-    cert: list[CertEntry] = []
-    if mode == CONV_DIV:
-        rel = _agreeing(an.may_diverge, "diverge", cert)
-    elif mode == _CONV_CCS:
-        rel = _agreeing(an.may_converge, "converge", cert)
+    log = array("i")
+    if mode in _FILTERS:
+        # the pairs (i, j), i < j, that disagree on the filter's flag
+        # open the log, rows first, columns ascending
+        flag = getattr(an, "may_" + _FILTERS[mode])
+        yes = sum(1 << i for i, v in enumerate(flag) if v)
+        no = ((1 << n) - 1) ^ yes
+        rel = [yes if v else no for v in flag]
+        for i, v in enumerate(flag):
+            for j in _bits((no if v else yes) >> (i + 1) << (i + 1)):
+                log.extend((i, j, -1, 0))
     else:
         rel = [(1 << n) - 1] * n
-
-    # the mode's game as a challenge table: per state, each challenging
-    # edge with its clause, its response masks and, for a label whose
-    # target cannot converge, the tau closure the responder may use
-    # instead
-    conv_game = mode in (CONV, CONV_DIV, _CONV_CCS)
-    untimed = mode in (USUAL_UNTIMED, _CONV_CCS)
-    cc = an.ctx_converge
-    table = []
-    for s, out in enumerate(lts.succ):
-        row = []
-        for lab, s2 in out:
-            extra = None
-            if lab.kind == "tau":
-                clause = "red-tau" if conv_game else "usual-mu"
-            elif lab.kind == "tick":
-                if untimed:
-                    continue
-                clause = "red-tick" if conv_game else "usual-mu"
-            elif conv_game:
-                if not cc[s]:
-                    continue
-                clause = "lab"
-                if not cc[s2]:
-                    extra = an.tau_closure
-            else:
-                clause = "usual-mu"
-            row.append((clause, lab, s2, an.weak_masks(lab), extra))
-        table.append(row)
+    table = _game(lts, an, mode)
 
     def violation(s: int, t: int):
-        """First unanswerable strong challenge of s against t, if any,
-        as its clause, the pair and the challenging edge."""
-        for clause, lab, s2, resp, extra in table[s]:
-            m = resp[t] if extra is None else resp[t] | extra[t]
-            if not m & rel[s2]:
-                return clause, (s, t), (s, lab, s2)
+        """The first challenge of s that t cannot answer, if any, as
+        challenger, responder and the challenge's index in s's row."""
+        for k, (_, _, s2, answers) in enumerate(table[s]):
+            if not answers[t] & rel[s2]:
+                return s, t, k
         return None
 
     # hot: the states whose pairs the round re-checks, all of them at
@@ -276,41 +301,52 @@ def _eliminate(
             for t in _bits(todo):
                 hit = violation(s, t) or violation(t, s)
                 if hit is not None:
-                    clause, pair, edge = hit
-                    cert.append(CertEntry(pair, clause, edge, rounds))
+                    log.extend(hit)
+                    log.append(rounds)
                     rel[s] &= ~(1 << t)
                     rel[t] &= ~(1 << s)
                     dirty |= 1 << s | 1 << t
         if not dirty:
-            return rel, cert, rounds
+            return rel, log, rounds, table
         hot = 0
         for r in _bits(dirty):
             hot |= pred[r]
 
 
-def _agreeing(
-    values: list[bool], clause: str, cert: list[CertEntry]
-) -> list[int]:
-    """The initial relation of the pairs that agree on a per-state flag.
+def _cone(
+    log: array, table: list, root: tuple[int, int], filtered: str | None
+) -> list[CertEntry]:
+    """The logged removals the refutation of the root pair reads.
 
-    Each disagreeing pair (i, j) with i < j is appended to `cert` as a
-    challenge-free entry of round 0, rows first, columns ascending.
+    An entry is kept when its unordered pair is needed, the root's
+    first; a kept challenge then needs its target paired with each of
+    the responder's answers.  Those pairs were gone when the entry was
+    logged, so they come earlier, and one backward pass finds them all.
     """
-    yes = sum(1 << i for i, v in enumerate(values) if v)
-    no = ((1 << len(values)) - 1) ^ yes
-    rel = []
-    for i, v in enumerate(values):
-        rel.append(yes if v else no)
-        for j in _bits((no if v else yes) >> (i + 1) << (i + 1)):
-            cert.append(CertEntry((i, j), clause, None, 0))
-    return rel
+    s, t = root
+    need = {(s, t) if s < t else (t, s)}
+    cone: list[CertEntry] = []
+    entries = zip(log[-4::-4], log[-3::-4], log[-2::-4], log[-1::-4])
+    for s, t, k, r in entries:
+        if ((s, t) if s < t else (t, s)) not in need:
+            continue
+        if k < 0:
+            cone.append(CertEntry((s, t), filtered, None, 0))
+            continue
+        clause, lab, s2, answers = table[s][k]
+        for u in _bits(answers[t]):
+            need.add((s2, u) if s2 < u else (u, s2))
+        cone.append(CertEntry((s, t), clause, (s, lab, s2), r))
+    assert len(cone) == len(need), "a refuted response is not in the log"
+    cone.reverse()
+    return cone
 
 
 def largest_bisimulation(lts: Lts, mode: str) -> Relation:
     """The greatest relation satisfying the mode's clauses, as pairs."""
     if lts.truncated:
         raise BoundExceeded("equivalence checking needs the full graph")
-    rel, _, _ = _eliminate(lts, mode)
+    rel = _eliminate(lts, mode)[0]
     pairs = frozenset(
         (i, j) for i in range(len(lts)) for j in _bits(rel[i])
     )
@@ -320,13 +356,15 @@ def largest_bisimulation(lts: Lts, mode: str) -> Relation:
 def check_states(
     lts: Lts, s: State | int, t: State | int, mode: str
 ) -> EquivVerdict:
-    """Decide one state pair on a prebuilt graph."""
+    """Decide one state pair on a prebuilt graph.  The certificate is
+    the pair's refutation cone, empty when the verdict is positive."""
     if lts.truncated:
         raise BoundExceeded("equivalence checking needs the full graph")
     si = s.id if isinstance(s, State) else s
     ti = t.id if isinstance(t, State) else t
-    rel, cert, rounds = _eliminate(lts, mode)
+    rel, log, rounds, table = _eliminate(lts, mode)
     related = bool(rel[si] >> ti & 1)
+    cert = [] if related else _cone(log, table, (si, ti), _FILTERS.get(mode))
     return EquivVerdict(related, mode, (si, ti), rounds, cert, None, lts)
 
 
@@ -517,12 +555,14 @@ def falsify_with_context(
 # rendering a negative verdict
 
 
-def explain(v: EquivVerdict, max_depth: int = 8) -> str:
-    """The elimination of the queried pair, rendered as a game tree.
+def explain(v: EquivVerdict) -> str:
+    """The refutation of the queried pair, one line per entry and response.
 
-    Each node shows the violated clause and the challenging edge, then
-    every weak response the responder had and why each fails, down to
-    clauses with no response at all, filter entries, or the depth cap.
+    After the header, each certificate entry once, root first, numbered
+    by its index: a filter entry shows the two flags that disagree; a
+    challenge its clause, edge and responder, then one line per weak
+    response naming the entry that refutes it, or that none exists.
+    States are written s<id>, with their term where they first appear.
     """
     if v.related:
         raise ValueError("nothing to explain: the verdict is positive")
@@ -531,73 +571,46 @@ def explain(v: EquivVerdict, max_depth: int = 8) -> str:
         raise ValueError("verdict carries no graph to explain against")
 
     an = analysis(lts)
+    table = _game(lts, an, v.mode)
     where: dict[tuple[int, int], int] = {}
     for idx, e in enumerate(v.certificate):
-        where.setdefault(e.pair, idx)
-        where.setdefault((e.pair[1], e.pair[0]), idx)
+        where[e.pair] = where[e.pair[::-1]] = idx
+    named: set[int] = set()
 
-    lines: list[str] = []
+    def state(i: int) -> str:
+        if i in named:
+            return "s%d" % i
+        named.add(i)
+        return "s%d (%s)" % (i, pretty(lts.terms[i]))
 
-    def term(i: int) -> str:
-        return pretty(lts.terms[i])
-
-    def render(idx: int, indent: int, depth: int) -> None:
+    lines = ["%s and %s are not related (%s)" % (
+        state(v.roots[0]), state(v.roots[1]), v.mode
+    )]
+    for idx in range(len(v.certificate) - 1, -1, -1):
         e = v.certificate[idx]
-        pad = "  " * indent
         s, t = e.pair
         if e.challenge is None:
-            if e.clause == "diverge":
-                what = "may_diverge"
-                fs, ft = an.may_diverge[s], an.may_diverge[t]
-            else:
-                what = "may_converge"
-                fs, ft = an.may_converge[s], an.may_converge[t]
+            what = "may_" + e.clause
+            flag = getattr(an, what)
             lines.append(
-                "%s[%s] %s: %s=%s but %s: %s=%s"
-                % (pad, e.clause, term(s), what, str(fs).lower(),
-                   term(t), what, str(ft).lower())
+                "#%d [%s] %s: %s=%s but %s: %s=%s"
+                % (idx, e.clause, state(s), what, str(flag[s]).lower(),
+                   state(t), what, str(flag[t]).lower())
             )
-            return
-        src, lab, dst = e.challenge
-        lines.append(
-            "%s[%s] %s -%s-> %s, challenged against %s:"
-            % (pad, e.clause, term(src), lab, term(dst), term(t))
+            continue
+        _, lab, dst = e.challenge
+        answers = next(
+            a for _, l, d, a in table[s] if l == lab and d == dst
+        )[t]
+        head = "#%d [%s] %s -%s-> %s, challenged against %s:" % (
+            idx, e.clause, state(s), lab, state(dst), state(t)
         )
-        resp = an.weak_masks(lab)[t]
-        if e.clause == "lab" and not an.ctx_converge[dst]:
-            resp |= an.tau_closure[t]
-        options = list(_bits(resp))
-        if not options:
-            lines.append("%s  no weak %s response exists" % (pad, lab))
-            return
-        if depth >= max_depth:
-            lines.append(
-                "%s  %d response(s), all previously eliminated (depth cap)"
-                % (pad, len(options))
-            )
-            return
-        for t2 in options:
-            sub = where.get((dst, t2))
-            if sub is None or sub >= idx:
-                # a response into a pair that was never in the initial
-                # relation leaves no trace entry of its own
-                lines.append(
-                    "%s  response to %s fails: pair never admissible"
-                    % (pad, term(t2))
-                )
-                continue
-            lines.append("%s  response to %s fails:" % (pad, term(t2)))
-            render(sub, indent + 2, depth + 1)
-
-    root = where.get(v.roots)
-    header = "%s and %s are not related (%s)" % (
-        term(v.roots[0]),
-        term(v.roots[1]),
-        v.mode,
-    )
-    lines.append(header)
-    if root is None:
-        lines.append("  (the queried pair was eliminated outside the trace)")
-    else:
-        render(root, 1, 1)
+        if not answers:
+            lines.append("%s no weak %s response exists" % (head, lab))
+        else:
+            lines.append(head)
+        for u in _bits(answers):
+            lines.append("  response to %s fails: #%d" % (
+                state(u), where[dst, u]
+            ))
     return "\n".join(lines)

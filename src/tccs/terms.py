@@ -133,10 +133,6 @@ class Label:
     def is_comm(self) -> bool:
         return self.kind in ("in", "out")
 
-    @property
-    def is_alpha(self) -> bool:
-        return self.kind != "tick"
-
     def co(self) -> "Label":
         """The matching label of the opposite polarity."""
         if self.kind == "in":
@@ -180,16 +176,6 @@ def inp(name: str) -> Label:
 
 def out(name: str) -> Label:
     return Label("out", name)
-
-
-def parse_label(text: str) -> Label:
-    if text == "tau":
-        return TAU
-    if text == "tick":
-        return TICK
-    if text.startswith("'"):
-        return Label("out", text[1:])
-    return Label("in", text)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,13 @@ def test_check_two_separately_written_deep_chains(tmp_path, capsys):
     f.write_text("P = %s;\nQ = %s;\n" % (chain, chain), encoding="ascii")
     assert main(["check", str(f), "-p", "P", "-q", "Q", "--rel", "usual"]) == 0
     assert capsys.readouterr().out == "related\n"
+    # one prefix shorter: a refutation of 900 entries, explained in full
+    f.write_text("P = %s;\nQ = %s;\n" % (chain, chain[2:]), encoding="ascii")
+    assert main(["check", str(f), "-p", "P", "-q", "Q", "--rel", "usual"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "not related"
+    assert err == ""
+    assert "RecursionError" not in out
 
 
 # the corpus item "branching point moved across a prefix"

@@ -1,11 +1,13 @@
 """The four games: goldens, certificates, oracle agreement, falsifier."""
 
+import functools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import Oracle
+from oracles import CONV_CCS, Oracle
 from tccs import (
     BoundExceeded,
     build_lts,
@@ -101,24 +103,27 @@ def test_weak_refuses_truncated_graphs():
 # certificates
 
 
+def _respond(orc, t, clause, lab, dst):
+    """The reference's weak responses of t to a challenge -lab-> dst."""
+    if clause in ("red-tau",) or (clause == "usual-mu" and lab == TAU):
+        resp = orc.tau_star[t]
+    elif lab == TICK:
+        resp = orc.weak(t, lab)
+    elif clause == "lab":
+        resp = set(orc.weak(t, lab))
+        if not orc.ctx[dst]:
+            resp = resp | orc.tau_star[t]
+    else:
+        resp = orc.weak(t, lab)
+    return resp
+
+
 def _replay(verdict, lts, mode):
-    """Walk the elimination trace and re-check every removal."""
+    """Walk the certificate and re-check every removal."""
     orc = Oracle(lts)
     n = len(lts)
     rel = {(s, t) for s in range(n) for t in range(n)}
-
-    def respond(t, clause, lab, dst):
-        if clause in ("red-tau",) or (clause == "usual-mu" and lab == TAU):
-            resp = orc.tau_star[t]
-        elif lab == TICK:
-            resp = orc.weak(t, lab)
-        elif clause == "lab":
-            resp = set(orc.weak(t, lab))
-            if not orc.ctx[dst]:
-                resp = resp | orc.tau_star[t]
-        else:
-            resp = orc.weak(t, lab)
-        return resp
+    respond = functools.partial(_respond, orc)
 
     for entry in verdict.certificate:
         s, t = entry.pair
@@ -173,6 +178,30 @@ def test_certificate_replays_for_every_mode(seed):
             assert any(
                 set(e.pair) == set(roots) for e in verdict.certificate
             )
+            assert _reached_from_the_root(verdict) == len(verdict.certificate)
+        else:
+            assert verdict.certificate == []
+
+
+def _reached_from_the_root(verdict):
+    """How many entries the root entry reaches through failing responses,
+    taking the responses from the reference."""
+    orc = Oracle(verdict.lts)
+    cert = verdict.certificate
+    where = {frozenset(e.pair): i for i, e in enumerate(cert)}
+    todo = [where[frozenset(verdict.roots)]]
+    seen = set(todo)
+    while todo:
+        e = cert[todo.pop()]
+        if e.challenge is None:
+            continue
+        _, lab, dst = e.challenge
+        for u in _respond(orc, e.pair[1], e.clause, lab, dst):
+            i = where[frozenset((dst, u))]
+            if i not in seen:
+                seen.add(i)
+                todo.append(i)
+    return len(seen)
 
 
 def test_identity_pairs_always_survive():
@@ -213,6 +242,32 @@ def test_chain_rounds_do_not_grow_with_its_length():
         v = check(p, res.process("R"), mode, res.defs)
         assert not v.related
         assert v.roots not in _replay(v, v.lts, mode)
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_relations_are_equivalences(seed):
+    rng = random.Random(seed)
+    timed = random_pair(rng, GenConfig(depth=3, max_defs=2))
+    untimed = random_pair(
+        rng, GenConfig(depth=3, max_defs=2, allow_else=False)
+    )
+    for (p, q, defs), modes in (
+        (timed, (USUAL, CONV, CONV_DIV)),
+        (untimed, MODES + (CONV_CCS,)),
+    ):
+        lts = build_lts([p, q], defs, bound=150)
+        if lts.truncated:
+            continue
+        for mode in modes:
+            pairs = largest_bisimulation(lts, mode).pairs
+            rows = {}
+            for i, j in pairs:
+                rows.setdefault(i, set()).add(j)
+            assert all((i, i) in pairs for i in range(len(lts)))
+            for i, j in pairs:
+                assert (j, i) in pairs
+                assert rows[j] <= rows[i]
 
 
 def _graph(n, edges):
@@ -367,6 +422,35 @@ def test_explain_divergence_filter():
     verdict = check(res.process("Z"), res.process("P"), CONV_DIV, res.defs)
     text = explain(verdict)
     assert "[diverge]" in text and "may_diverge" in text
+
+
+RING = """\
+Cyc(x, y) = x.tau.'y.Cyc(x, y);
+R = Cyc(a, b) | Cyc(b, c) | Cyc(c, a) | 'a.0;
+"""
+
+
+def test_explain_prints_each_entry_once():
+    # A tree rendering repeats shared entries: it printed 40 229 lines
+    # at depth 4 on this ring.
+    res = parse(RING)
+    lts = build_lts([res.process("R")], res.defs)
+    v = check_states(lts, 0, 1, USUAL)
+    assert not v.related
+    lines = explain(v).splitlines()
+    heads = [line.split(" ", 1)[0] for line in lines if line.startswith("#")]
+    assert sorted(heads) == sorted(
+        "#%d" % i for i in range(len(v.certificate))
+    )
+    orc = Oracle(lts)
+    bound = 1 + sum(
+        1 if e.challenge is None
+        else 1 + len(_respond(orc, e.pair[1], e.clause, *e.challenge[1:]))
+        for e in v.certificate
+    )
+    assert len(lines) <= bound
+    named = re.findall(r"\bs(\d+) \(", "\n".join(lines))
+    assert len(named) == len(set(named))
 
 
 def test_explain_refuses_related_verdicts():
