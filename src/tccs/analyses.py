@@ -18,15 +18,20 @@ Reactivity is a property of a root: every state reachable from it, by
 any sequence of steps, must be free of divergence, so every instant is
 guaranteed to end.
 
-All predicates are exact on an untruncated graph and are computed in
-one pass: a single strongly-connected-component sweep of the tau graph
-(divergence cores, convergence and barb propagation in one traversal),
-plus two reverse closures.  The same sweep also fills the tau closure,
-the per-state set of states reachable by zero or more tau steps, which
-the equivalence checkers respond with; the weak transitions under the
-other labels are built from it on first use, one label at a time.  The
-checkers' elimination order comes from the same component routine run
-over all edges, also on first use.  `Analysis` is the one cache of
+All predicates are exact on an untruncated graph and are computed by
+condensing each edge set once and reading the condensation in one
+forward sweep, sinks first.  The tau graph's sweep gives divergence
+cores, convergence and barbs, and the tau closure, the per-state set
+of states reachable by zero or more tau steps, which the equivalence
+checkers respond with; the weak transitions under the other labels are
+built from it on first use, one label at a time.  The sweep over all
+edges gives ctx_converge, reactivity, and the checkers' elimination
+order with each state's predecessors.
+
+ctx_converge needs no tick filter on that sweep: a state gets a tick
+edge only when it has no tau edge, so every tick edge leaves a stable
+state, and a stable state is reachable over all edges exactly when it
+is reachable over instantaneous ones.  `Analysis` is the one cache of
 everything derived from a graph, and it is stored on the graph itself.
 """
 
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lts import BoundExceeded, Lts, State
+from .lts import BoundExceeded, Lts
 from .terms import Label
 
 __all__ = [
@@ -64,17 +69,19 @@ class StateFacts:
     reactive_root: bool
 
 
-def _sid(s: State | int) -> int:
-    return s.id if isinstance(s, State) else s
-
-
 class Analysis:
     """All predicate tables for one graph, filled once at construction.
 
+    The tau edges are condensed once, for the tau facts, and all edges
+    once, for ctx_converge, reactivity and `sweep`.  ctx_converge reads
+    all edges, tick included: tick edges leave stable states only.
+
     `tau_closure[i]` is the bitmask of the states tau-reachable from
-    state i, itself included.  Weak transition masks under the other
-    labels are memoized per label by `weak_masks`, and the elimination
-    order of the equivalence checkers is built on first use by `sweep`.
+    state i, itself included.  `sweep` is the elimination order of the
+    equivalence checkers, the states successors first, and `pred`, where
+    `pred[j]` is the bitmask of the states with an edge, of any label,
+    into j.  Weak transition masks under labels other than tau are
+    memoized per label by `weak_masks`.
     """
 
     __slots__ = (
@@ -86,8 +93,8 @@ class Analysis:
         "barbs",
         "reactive",
         "tau_closure",
+        "sweep",
         "_weak",
-        "_sweep",
     )
 
     def __init__(self, lts: Lts) -> None:
@@ -142,24 +149,32 @@ class Analysis:
         self.barbs = [barb_comp[comp[v]] for v in range(n)]
         self.tau_closure = [clo_comp[comp[v]] for v in range(n)]
         self._weak: dict[Label, list[int]] = {}
-        self._sweep: tuple[list[int], list[int]] | None = None
 
-        # ctx_converge: reverse closure of the converged states over
-        # instantaneous edges of any polarity.
-        self.ctx_converge = _reverse_closure(
-            lts,
-            seeds=lts.stable,
-            follow=lambda lab: lab.kind != "tick",
-        )
-
-        # reactive: the complement of "can reach a diverging state by
-        # any path", tick included.
-        can_reach_div = _reverse_closure(
-            lts,
-            seeds=self.may_diverge,
-            follow=lambda lab: True,
-        )
-        self.reactive = [not b for b in can_reach_div]
+        # The condensation of all edges, read the same way: ctx_converge
+        # is "a stable state is reachable", reactive "no diverging state
+        # is", and the emission order of the components is the states
+        # successors first.
+        all_succ = [[j for _, j in out] for out in lts.succ]
+        comp, comps = _sccs(n, all_succ)
+        ctx_comp = [False] * len(comps)
+        bad_comp = [False] * len(comps)
+        pred = [0] * n
+        for c, members in enumerate(comps):
+            ctx = bad = False
+            for v in members:
+                ctx = ctx or lts.stable[v]
+                bad = bad or self.may_diverge[v]
+                for w in all_succ[v]:
+                    pred[w] |= 1 << v
+                    c2 = comp[w]
+                    if c2 != c:
+                        ctx = ctx or ctx_comp[c2]
+                        bad = bad or bad_comp[c2]
+            ctx_comp[c] = ctx
+            bad_comp[c] = bad
+        self.ctx_converge = [ctx_comp[comp[v]] for v in range(n)]
+        self.reactive = [not bad_comp[comp[v]] for v in range(n)]
+        self.sweep = ([v for members in comps for v in members], pred)
 
     def weak_masks(self, lab: Label) -> list[int]:
         """Per-state bitmask of weak successors under `lab`.
@@ -188,27 +203,7 @@ class Analysis:
             self._weak[lab] = masks
         return masks
 
-    @property
-    def sweep(self) -> tuple[list[int], list[int]]:
-        """The states successors-first, and each state's predecessors.
-
-        The order is the emission order of the strongly connected
-        components over all edges, so a state comes after every state
-        it can reach outside its own component.  `pred[j]` is the
-        bitmask of the states with an edge, of any label, into j.
-        """
-        if self._sweep is None:
-            succ = self.succ
-            _, comps = _sccs(len(succ), [[j for _, j in out] for out in succ])
-            pred = [0] * len(succ)
-            for i, out in enumerate(succ):
-                for _, j in out:
-                    pred[j] |= 1 << i
-            self._sweep = ([v for members in comps for v in members], pred)
-        return self._sweep
-
-    def facts(self, s: State | int) -> StateFacts:
-        i = _sid(s)
+    def facts(self, i: int) -> StateFacts:
         return StateFacts(
             stable=self.stable[i],
             may_converge=self.may_converge[i],
@@ -224,9 +219,9 @@ def _sccs(
 ) -> tuple[list[int], list[list[int]]]:
     """Strongly connected components of a graph, iteratively.
 
-    `succ[v]` lists the successors of state v along whichever edges the
-    caller follows: the tau edges for the predicates, all edges for
-    the elimination order.
+    `succ[v]` lists the successors of state v in the edge set being
+    condensed: the tau edges for the tau facts, all edges for
+    ctx_converge, reactivity and the elimination order.
 
     Returns the component id of each state and the component member
     lists in emission order, which places every component after all
@@ -281,25 +276,6 @@ def _sccs(
     return comp, comps
 
 
-def _reverse_closure(lts: Lts, seeds, follow) -> list[bool]:
-    """States from which a seed is reachable along edges passing `follow`."""
-    n = len(lts)
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for i, out in enumerate(lts.succ):
-        for lab, j in out:
-            if follow(lab):
-                pred[j].append(i)
-    hit = [bool(b) for b in seeds]
-    todo = [i for i in range(n) if hit[i]]
-    while todo:
-        v = todo.pop()
-        for u in pred[v]:
-            if not hit[u]:
-                hit[u] = True
-                todo.append(u)
-    return hit
-
-
 def analysis(lts: Lts) -> Analysis:
     """The predicate tables for this graph, computed once and cached."""
     a = lts._analysis
@@ -309,46 +285,46 @@ def analysis(lts: Lts) -> Analysis:
     return a
 
 
-def converged(lts: Lts, s: State | int) -> bool:
+def converged(lts: Lts, s: int) -> bool:
     """No internal step: the state is stable and lets time pass."""
-    return lts.stable[_sid(s)]
+    return lts.stable[s]
 
 
-def may_converge(lts: Lts, s: State | int) -> bool:
+def may_converge(lts: Lts, s: int) -> bool:
     """Some converged state is reachable through tau steps alone."""
-    return analysis(lts).may_converge[_sid(s)]
+    return analysis(lts).may_converge[s]
 
 
-def ctx_converge(lts: Lts, s: State | int) -> bool:
+def ctx_converge(lts: Lts, s: int) -> bool:
     """Some converged state is reachable through instantaneous steps.
 
     Inputs and outputs count alongside tau, because a surrounding
     process can supply the matching half of a communication; tick does
     not, because time only passes once the state is already settled.
     """
-    return analysis(lts).ctx_converge[_sid(s)]
+    return analysis(lts).ctx_converge[s]
 
 
-def may_diverge(lts: Lts, s: State | int) -> bool:
+def may_diverge(lts: Lts, s: int) -> bool:
     """An infinite run of tau steps exists from this state."""
-    return analysis(lts).may_diverge[_sid(s)]
+    return analysis(lts).may_diverge[s]
 
 
-def barbs(lts: Lts, s: State | int) -> frozenset[Label]:
+def barbs(lts: Lts, s: int) -> frozenset[Label]:
     """Communication offers of the stable states tau-reachable from s."""
-    return analysis(lts).barbs[_sid(s)]
+    return analysis(lts).barbs[s]
 
 
-def is_reactive(lts: Lts, root: State | int) -> bool:
+def is_reactive(lts: Lts, root: int) -> bool:
     """Every state reachable from the root is free of divergence."""
-    return analysis(lts).reactive[_sid(root)]
+    return analysis(lts).reactive[root]
 
 
-def facts(lts: Lts, s: State | int) -> StateFacts:
+def facts(lts: Lts, s: int) -> StateFacts:
     return analysis(lts).facts(s)
 
 
-def facts_line(lts: Lts, s: State | int) -> str:
+def facts_line(lts: Lts, s: int) -> str:
     """One-line summary of a state's facts, as printed by the CLI."""
     f = facts(lts, s)
     bs = ",".join(str(lab) for lab in sorted(f.barbs, key=Label.sort_key))

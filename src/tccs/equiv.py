@@ -54,7 +54,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from .analyses import analysis, may_converge
-from .lts import BoundExceeded, Lts, State, build_lts
+from .lts import BoundExceeded, Lts, build_lts
 from .terms import (
     NIL,
     DefTable,
@@ -353,19 +353,15 @@ def largest_bisimulation(lts: Lts, mode: str) -> Relation:
     return Relation(mode, pairs)
 
 
-def check_states(
-    lts: Lts, s: State | int, t: State | int, mode: str
-) -> EquivVerdict:
+def check_states(lts: Lts, s: int, t: int, mode: str) -> EquivVerdict:
     """Decide one state pair on a prebuilt graph.  The certificate is
     the pair's refutation cone, empty when the verdict is positive."""
     if lts.truncated:
         raise BoundExceeded("equivalence checking needs the full graph")
-    si = s.id if isinstance(s, State) else s
-    ti = t.id if isinstance(t, State) else t
     rel, log, rounds, table = _eliminate(lts, mode)
-    related = bool(rel[si] >> ti & 1)
-    cert = [] if related else _cone(log, table, (si, ti), _FILTERS.get(mode))
-    return EquivVerdict(related, mode, (si, ti), rounds, cert, None, lts)
+    related = bool(rel[s] >> t & 1)
+    cert = [] if related else _cone(log, table, (s, t), _FILTERS.get(mode))
+    return EquivVerdict(related, mode, (s, t), rounds, cert, None, lts)
 
 
 def check(

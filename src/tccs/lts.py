@@ -20,8 +20,6 @@ result, not raised, and downstream analyses refuse truncated graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .terms import (
     NIL,
     TAU,
@@ -39,14 +37,12 @@ from .terms import (
     canonicalize,
     classify,
     pretty,
-    substitute,
 )
 
 __all__ = [
     "BoundExceeded",
     "step",
     "commitments",
-    "State",
     "Lts",
     "build_lts",
     "verify_lts_laws",
@@ -105,8 +101,7 @@ def _alpha(p: Process, defs: DefTable) -> list[tuple[Label, Process]]:
                 if lab.name != a
             ]
         case Call(ident, args):
-            d = defs.lookup(ident)
-            return [(TAU, substitute(d.body, dict(zip(d.params, args))))]
+            return [(TAU, defs.lookup(ident).instance(args))]
         case ElseNext(now, _):
             return _alpha(now, defs)
     raise AssertionError("unreachable node %r" % p)
@@ -143,7 +138,9 @@ def _tick(p: Process) -> Process:
 # syntactically: a sum offers both sides, an else_next offers whatever
 # its current branch offers, a restriction withholds its bound name,
 # and a composition commits only when no synchronization is possible.
-# A call has no rule: it always has the unfolding step.
+# A call has no rule: it always has the unfolding step.  A built graph
+# reads its states' commitments off their edges instead; these rules
+# are what `verify_lts_laws` checks the edges against.
 
 
 def commitments(p: Process, defs: DefTable) -> frozenset[Label] | None:
@@ -178,25 +175,18 @@ def commitments(p: Process, defs: DefTable) -> frozenset[Label] | None:
 # reachable graphs
 
 
-@dataclass(frozen=True)
-class State:
-    """A state of a built graph: its dense id and its canonical term."""
-
-    id: int
-    term: Process
-
-
 class Lts:
     """Rooted transition graph over canonical states.
 
     `terms[i]` is the canonical term of state i, `succ[i]` its ordered
     outgoing edges, and `index` maps each canonical term back to its
     state.  Terms are hash-consed, so `index` looks a term up by
-    identity.  `stable` and `commit` cache the per-state stance
-    toward time: a state is stable when it has no tau edge, and the
-    commitment set is present exactly on stable states.  `_analysis`
-    is a write-once cache for everything derived from the graph, filled
-    by `tccs.analyses.analysis`.
+    identity.  `stable` and `commit` are read off the edges: a state
+    is stable when it has no tau edge, and a stable state's commitment
+    set is the communication labels of its edges, None on the others.
+    `verify_lts_laws` checks them against the rule-based `commitments`
+    of each term.  `_analysis` is a write-once cache for everything
+    derived from the graph, filled by `tccs.analyses.analysis`.
     """
 
     __slots__ = (
@@ -226,10 +216,11 @@ class Lts:
         self.index = index
         self.succ = succ
         self.truncated = truncated
-        self.stable = [
-            not any(lab.kind == "tau" for lab, _ in edges) for edges in succ
+        self.stable = [not any(lab is TAU for lab, _ in out) for out in succ]
+        self.commit = [
+            frozenset(lab for lab, _ in out if lab.is_comm) if st else None
+            for out, st in zip(succ, self.stable)
         ]
-        self.commit = [commitments(t, defs) for t in terms]
         self._analysis = None
 
     def __len__(self) -> int:
@@ -242,9 +233,6 @@ class Lts:
 
     def state_of(self, p: Process) -> int:
         return self.index[canonicalize(p)]
-
-    def state(self, i: int) -> State:
-        return State(i, self.terms[i])
 
 
 def build_lts(
@@ -310,9 +298,10 @@ def verify_lts_laws(lts: Lts) -> list[str]:
 
     For every state: it has a tick edge if and only if it has no tau
     edge; the tick successor is unique; a state restricted to the
-    calculus without else_next ticks to itself; the commitment set is
-    present exactly on stable states and then lists the offered
-    communications.  A non-empty report means an engine bug.
+    calculus without else_next ticks to itself; the term's rule-based
+    commitment set (`commitments`) is present exactly on stable states
+    and then lists the communications its edges offer.  A non-empty
+    report means an engine bug.
     """
     if lts.truncated:
         raise BoundExceeded("laws are only meaningful on a complete graph")
@@ -335,25 +324,27 @@ def verify_lts_laws(lts: Lts) -> list[str]:
                 "state %d (%s): ticks to %d instead of itself"
                 % (i, pretty(term), ticks[0])
             )
-        com = lts.commit[i]
+        com = commitments(term, lts.defs)
         if (com is not None) != lts.stable[i]:
             report.append(
                 "state %d (%s): commitment %s but stable=%s"
-                % (i, pretty(term), com, lts.stable[i])
+                % (i, pretty(term), _show(com), lts.stable[i])
             )
         if com is not None:
             offered = frozenset(lab for lab, _ in out if lab.is_comm)
             if com != offered:
                 report.append(
-                    "state %d (%s): commits {%s} but offers {%s}"
-                    % (
-                        i,
-                        pretty(term),
-                        ", ".join(sorted(map(str, com))),
-                        ", ".join(sorted(map(str, offered))),
-                    )
+                    "state %d (%s): commits %s but offers %s"
+                    % (i, pretty(term), _show(com), _show(offered))
                 )
     return report
+
+
+def _show(labels: frozenset[Label] | None) -> str:
+    # sorted by text: a set of interned labels iterates in address order
+    if labels is None:
+        return "None"
+    return "{%s}" % ", ".join(sorted(map(str, labels)))
 
 
 # ---------------------------------------------------------------------------

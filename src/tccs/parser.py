@@ -380,7 +380,7 @@ def parse(src: str) -> ParseResult:
 
 
 def parse_proc(
-    src: str, defs: DefTable | None = None, *, check_calls: bool = True
+    src: str, defs: DefTable | None = None
 ) -> tuple[Process, DefTable]:
     """Parse a single process given an optional definition table.
 
@@ -392,6 +392,5 @@ def parse_proc(
         parser.defs = defs.copy()
     p = parser.proc()
     parser.expect("eof", "end of input")
-    if check_calls:
-        parser.resolve_calls()
+    parser.resolve_calls()
     return p, parser.defs

@@ -11,17 +11,19 @@ are produced by a NameSupply for derived forms and for capture
 avoidance.  The two can never collide.  Names are plain interned
 strings, so equality of names is string equality.
 
-Nodes are hash-consed (Filliatre and Conchon, "Type-safe modular
-hash-consing", 2006): all live nodes sit in one weak table, and a
-constructor returns the existing node for a class and fields it has
-seen, so equal terms are one object and compare by identity.  Every
-node precomputes its free-name set, which keeps capture checks cheap,
-and caches its printed form on first use, which is the sort key of
-canonical forms and of successor lists.  It also caches its canonical
-form on first use, in the style of the per-node memo tables that
-hash-consing makes safe: a successor of a canonical state shares every
-component but the one that moved, so canonicalizing it rebuilds only
-that component.
+Nodes and transition labels are hash-consed (Filliatre and Conchon,
+"Type-safe modular hash-consing", 2006): all live ones sit in one weak
+table, and a constructor returns the existing one for a class and
+fields it has seen, so equal terms, and equal labels, are one object
+and compare by identity.  Every node precomputes its free-name set,
+which keeps capture checks cheap, and caches its printed form on first
+use, which is the sort key of canonical forms and of successor lists.
+It also caches its canonical form on first use, in the style of the
+per-node memo tables that hash-consing makes safe: a successor of a
+canonical state shares every component but the one that moved, so
+canonicalizing it rebuilds only that component.  The same renaming
+instantiates a call: the canonical form of a definition's body with
+arguments for parameters is one pass of it (`Definition.instance`).
 """
 
 from __future__ import annotations
@@ -102,6 +104,32 @@ class NameSupply:
 
 
 # ---------------------------------------------------------------------------
+# the intern table
+
+
+class _Entry(weakref.ref):
+    """The table's weak reference to a value, carrying the value's key."""
+
+    __slots__ = ("key",)
+
+
+# Every live label and process node, keyed by its class and fields.
+# Child fields are nodes themselves, already in the table, so a key is
+# compared and hashed by the identity of the children.  The table takes
+# no lock: terms are built from one thread at a time.
+_table: dict[tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry, table: dict[tuple, _Entry] = _table) -> None:
+    # A value died.  Its key may already name a newer value, built after
+    # the entry went dead but before this callback ran.  The table is
+    # bound as a default so that values dying while the interpreter
+    # shuts down still find it.
+    if table.get(entry.key) is entry:
+        del table[entry.key]
+
+
+# ---------------------------------------------------------------------------
 # labels
 
 
@@ -110,13 +138,23 @@ class Label:
 
     Inputs and outputs are the communication labels; together with tau
     they are the labels of actions that happen within an instant, and
-    tick marks the passage to the next instant.
+    tick marks the passage to the next instant.  Labels are interned in
+    the same weak table as process nodes, so `Label(kind, name)` returns
+    the live label when there is one, and labels compare by identity.
     """
 
-    __slots__ = ("kind", "name", "_hash")
+    __slots__ = ("kind", "name", "__weakref__")
     __match_args__ = ("kind", "name")
 
-    def __init__(self, kind: str, name: str | None = None) -> None:
+    _RANK = {"in": 0, "out": 1, "tau": 2, "tick": 3}
+
+    def __new__(cls, kind: str, name: str | None = None) -> "Label":
+        key = (cls, kind, name)
+        entry = _table.get(key)
+        if entry is not None:
+            lab = entry()
+            if lab is not None:
+                return lab
         if kind in ("in", "out"):
             if name is None:
                 raise ValueError("communication label needs a name")
@@ -125,9 +163,16 @@ class Label:
                 raise ValueError("%s carries no name" % kind)
         else:
             raise ValueError("bad label kind %r" % kind)
-        self.kind = kind
-        self.name = name
-        self._hash = hash((kind, name))
+        lab = object.__new__(cls)
+        lab.kind = kind
+        lab.name = name
+        entry = _table[key] = _Entry(lab, _forget)
+        entry.key = key
+        return lab
+
+    def __reduce__(self):
+        # copies and unpickled labels go through the table as well
+        return Label, (self.kind, self.name)
 
     @property
     def is_comm(self) -> bool:
@@ -142,18 +187,7 @@ class Label:
         raise ValueError("%s has no co-label" % self.kind)
 
     def sort_key(self) -> tuple[int, str]:
-        rank = {"in": 0, "out": 1, "tau": 2, "tick": 3}[self.kind]
-        return (rank, self.name or "")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Label)
-            and self.kind == other.kind
-            and self.name == other.name
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+        return (self._RANK[self.kind], self.name or "")
 
     def __str__(self) -> str:
         if self.kind == "in":
@@ -225,28 +259,6 @@ class Process:
 
     def __repr__(self) -> str:
         return pretty(self)
-
-
-class _Entry(weakref.ref):
-    """The table's weak reference to a node, carrying the node's key."""
-
-    __slots__ = ("key",)
-
-
-# Every live node, keyed by its class and fields.  Child fields are
-# nodes themselves, already in the table, so a key is compared and
-# hashed by the identity of the children.  The table takes no lock:
-# terms are built from one thread at a time.
-_table: dict[tuple, _Entry] = {}
-
-
-def _forget(entry: _Entry, table: dict[tuple, _Entry] = _table) -> None:
-    # A node died.  Its key may already name a newer node, built after
-    # the entry went dead but before this callback ran.  The table is
-    # bound as a default so that nodes dying while the interpreter
-    # shuts down still find it.
-    if table.get(entry.key) is entry:
-        del table[entry.key]
 
 
 class Nil(Process):
@@ -338,6 +350,16 @@ class ElseNext(Process):
 class Definition:
     params: tuple[str, ...]
     body: Process
+
+    def instance(self, args: tuple[str, ...]) -> Process:
+        """The canonical form of the body with args for params.
+
+        One pass of the canonicalizer's renaming, which cannot capture:
+        every live binder becomes the least machine name that is not the
+        image of another free name of its body.
+        """
+        ren = {x: a for x, a in zip(self.params, args) if x != a}
+        return _canon(self.body, ren)
 
 
 class DefTable:

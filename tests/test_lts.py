@@ -5,9 +5,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tccs import DefTable, build_lts, parse_proc, pretty, step, verify_lts_laws
+from oracles import canonical
+from tccs import (
+    DefTable,
+    build_lts,
+    parse,
+    parse_proc,
+    pretty,
+    step,
+    substitute,
+    verify_lts_laws,
+)
 from tccs.lts import Lts, to_dot, to_json
-from tccs.terms import TAU, TICK, Label, canonicalize, inp, out
+from tccs.terms import TAU, TICK, Call, Label, Restrict, canonicalize, inp, out
 from tccs.generate import GenConfig, random_term
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -78,9 +88,7 @@ def test_tick_is_deterministic_everywhere():
 def test_state_and_index_round_trip():
     lts = _graph("a.b.0 + b.a.0")
     for i in range(len(lts)):
-        st_ = lts.state(i)
-        assert st_.id == i
-        assert lts.state_of(st_.term) == i
+        assert lts.state_of(lts.terms[i]) == i
 
 
 def test_bound_truncates_and_flags():
@@ -108,6 +116,65 @@ def test_verify_laws_reports_injected_tick_violations():
         False,
     )
     assert any("tick" in line for line in verify_lts_laws(broken))
+
+
+def test_verify_laws_checks_the_edges_against_the_rules():
+    # The graph's commitments are read off its edges, so only the
+    # rule-based commitments of the term can catch an edge too many.
+    lts = _graph("a.0")
+    root = lts.roots[0]
+    zero = next(j for lab, j in lts.succ[root] if lab == inp("a"))
+    succ = [
+        out_ + ((inp("b"), zero),) if i == root else out_
+        for i, out_ in enumerate(lts.succ)
+    ]
+    broken = Lts(lts.defs, lts.roots, lts.terms, lts.index, succ, False)
+    assert broken.stable[root] and inp("b") in broken.commit[root]
+    assert verify_lts_laws(broken) == [
+        "state %d (a.0): commits {a} but offers {a, b}" % root
+    ]
+
+
+def _unfolds_as_the_reference(ident, args, defs):
+    d = defs.lookup(ident)
+    want = canonical(substitute(d.body, dict(zip(d.params, args))))
+    assert step(Call(ident, args), defs) == [(TAU, want)]
+
+
+@given(seeds)
+@settings(max_examples=150, deadline=None)
+def test_call_unfolding_agrees_with_substitution(seed):
+    rng = random.Random(seed)
+    _, defs = random_term(rng, GenConfig(depth=5, max_defs=3))
+    names = ["a", "b", "c", "d", "#1", "#2"]
+    for ident, d in sorted(defs.entries.items()):
+        args = tuple(rng.choice(names) for _ in d.params)
+        _unfolds_as_the_reference(ident, args, defs)
+
+
+def test_call_unfolding_hand_cases():
+    res = parse(
+        "D(a) = new b. (a.b.0 | 'b.0);\n"
+        "T(x) = tau.x.0;\n"
+        "E(x, y) = x.0 | 'y.0;\n"
+    )
+    defs = res.defs
+    # a binder named like the argument
+    _unfolds_as_the_reference("D", ("b",), defs)
+    assert pretty(step(Call("D", ("b",)), defs)[0][1]) == "new #1. ('#1.0 | b.#1.0)"
+    # a machine-name argument meets the body's own tau binder
+    _unfolds_as_the_reference("T", ("#1",), defs)
+    p = canonicalize(Restrict("a", Call("T", ("a",))))
+    assert pretty(p) == "new #1. T(#1)"
+    body = defs.lookup("T").body
+    want = canonical(Restrict("a", substitute(body, {"x": "a"})))
+    assert step(p, defs) == [(TAU, want)]
+    # a non-injective call: the unfolding and the synchronization it
+    # makes possible
+    _unfolds_as_the_reference("E", ("a", "a"), defs)
+    lts = build_lts([Call("E", ("a", "a"))], defs)
+    assert verify_lts_laws(lts) == []
+    assert sum(lab == TAU for _, lab, _ in lts.edges()) == 2
 
 
 @given(seeds)

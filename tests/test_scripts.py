@@ -1,6 +1,8 @@
-"""The survey scripts run to completion on a few terms."""
+"""The scripts run to completion: the surveys on a few terms, and the
+output digest to the same line whatever the hash seed."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +21,18 @@ def test_survey_script_runs(script):
     )
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
+
+
+def test_output_digest_does_not_depend_on_the_hash_seed():
+    lines = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+        run = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "output_digest.py")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stderr == ""
+        assert re.fullmatch(r"[0-9a-f]{64}\n", run.stdout)
+        lines.add(run.stdout)
+    assert len(lines) == 1

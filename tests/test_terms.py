@@ -1,5 +1,6 @@
 """Syntax-level laws: printing, canonical forms, renaming, classification."""
 
+import copy
 import gc
 import pickle
 import random
@@ -20,6 +21,7 @@ from tccs.generate import GenConfig, random_ccs_term, random_sl_program, random_
 from tccs.lts import step
 from tccs.terms import (
     NIL,
+    Label,
     Par,
     Prefix,
     Process,
@@ -27,8 +29,10 @@ from tccs.terms import (
     Sum,
     _table,
     all_names,
+    inp,
     internal_choice,
     make_tau,
+    out,
 )
 
 CFG = GenConfig(depth=4, max_defs=2)
@@ -122,6 +126,30 @@ def test_dropped_terms_leave_the_intern_table():
             batch.append((p, c, pretty(c), step(c, defs)))
         assert len(_table) > before
         del batch, p, c, defs
+        assert len(_table) == before
+    finally:
+        gc.enable()
+
+
+def test_labels_are_interned():
+    a = Label("in", "a")
+    assert a is inp("a")
+    assert a.co() is out("a") and out("a").co() is a
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert a != out("a") and {a, inp("a"), out("a")} == {a, out("a")}
+
+
+def test_dropped_labels_leave_the_intern_table():
+    # The table holds labels weakly: names minted per query must not
+    # pile up in it.
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(_table)
+        batch = [Label(("in", "out")[k % 2], "dropped%d" % k) for k in range(200)]
+        assert len(_table) == before + 200
+        del batch
         assert len(_table) == before
     finally:
         gc.enable()
