@@ -46,12 +46,7 @@ __all__ = [
     "StateFacts",
     "Analysis",
     "analysis",
-    "converged",
     "may_converge",
-    "ctx_converge",
-    "may_diverge",
-    "barbs",
-    "is_reactive",
     "facts",
     "facts_line",
 ]
@@ -285,39 +280,9 @@ def analysis(lts: Lts) -> Analysis:
     return a
 
 
-def converged(lts: Lts, s: int) -> bool:
-    """No internal step: the state is stable and lets time pass."""
-    return lts.stable[s]
-
-
 def may_converge(lts: Lts, s: int) -> bool:
     """Some converged state is reachable through tau steps alone."""
     return analysis(lts).may_converge[s]
-
-
-def ctx_converge(lts: Lts, s: int) -> bool:
-    """Some converged state is reachable through instantaneous steps.
-
-    Inputs and outputs count alongside tau, because a surrounding
-    process can supply the matching half of a communication; tick does
-    not, because time only passes once the state is already settled.
-    """
-    return analysis(lts).ctx_converge[s]
-
-
-def may_diverge(lts: Lts, s: int) -> bool:
-    """An infinite run of tau steps exists from this state."""
-    return analysis(lts).may_diverge[s]
-
-
-def barbs(lts: Lts, s: int) -> frozenset[Label]:
-    """Communication offers of the stable states tau-reachable from s."""
-    return analysis(lts).barbs[s]
-
-
-def is_reactive(lts: Lts, root: int) -> bool:
-    """Every state reachable from the root is free of divergence."""
-    return analysis(lts).reactive[root]
 
 
 def facts(lts: Lts, s: int) -> StateFacts:

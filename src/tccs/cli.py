@@ -159,7 +159,9 @@ def _cmd_lts(args) -> int:
         for i, term in enumerate(lts.terms):
             commit = lts.commit[i]
             tail = ""
-            if commit is not None:
+            if lts.stable[i] is None:
+                tail = "  unexplored"
+            elif commit is not None:
                 offers = ",".join(
                     str(lab) for lab in sorted(commit, key=Label.sort_key)
                 )

@@ -18,8 +18,9 @@ and which responses are accepted:
 * conv-div: conv, after first discarding every pair whose two states
   disagree on may_diverge.  Divergence agreement is a property of the
   states, not of the candidate relation, so it is an initial filter
-  rather than an elimination clause; filtered pairs are recorded in
-  the certificate with a challenge-free entry.
+  rather than an elimination clause: the loop starts from the
+  partition of the states by the flag, and a certificate records a
+  filtered pair with a challenge-free entry.
 
 The conv game decides the contextual equivalence it stands for on all
 processes, and conv-div its divergence-sensitive refinement; the
@@ -32,9 +33,12 @@ only the pairs with a state that has an edge into a row the round
 before changed.  A verdict's `rounds` counts these rounds, including
 the last one, which removes nothing.
 
+Every relation the loop computes is an equivalence, and its result is
+a partition: one class id per state.  The loop logs eliminations only.
 A negative verdict's certificate is the refutation cone of the queried
-pair: the removals its refutation reads, transitively, in the order
-they happened.  Replaying them re-eliminates exactly those pairs, and
+pair: the filtered pairs its refutation reads, recovered from the
+flags, then the removals it reads, transitively, in the order they
+happened.  Replaying them re-eliminates exactly those pairs, and
 `explain` prints each of them once, root first.
 
 `falsify_with_context` is the contextual side of the story: a bounded
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .analyses import analysis, may_converge
 from .lts import BoundExceeded, Lts, build_lts
@@ -178,13 +183,26 @@ class EquivVerdict:
 
 @dataclass(frozen=True)
 class Relation:
-    """A symmetric relation on the states of one graph."""
+    """An equivalence on the states of one graph, as a partition:
+    `block[i]` is the class id of state i, numbered by first appearance.
+    `pairs` spells it out as ordered pairs, built on first use."""
 
     mode: str
-    pairs: frozenset[tuple[int, int]]
+    block: tuple[int, ...]
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
+        s, t = pair
+        n = len(self.block)
+        return 0 <= s < n and 0 <= t < n and self.block[s] == self.block[t]
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        members: dict[int, list[int]] = {}
+        for i, b in enumerate(self.block):
+            members.setdefault(b, []).append(i)
+        return frozenset(
+            (i, j) for i, b in enumerate(self.block) for j in members[b]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -237,41 +255,36 @@ def _game(lts: Lts, an, mode: str) -> list[list[tuple]]:
     return table
 
 
-def _eliminate(lts: Lts, mode: str) -> tuple[list[int], array, int, list]:
+def _eliminate(lts: Lts, an, mode: str) -> tuple[list[int], array, int, list]:
     """Greatest fixed point by successor-first elimination rounds.
 
-    Starts from the full (or filtered) symmetric relation and removes
-    violated pairs.  A round visits the rows of the states in the
-    order of `Analysis.sweep`, successors first, and each unordered
-    pair of distinct states once, in the row of whichever state comes
-    first, columns ascending; so a pair usually meets the pairs its
-    challenges lead to already decided.  The first round visits every
-    pair; a later one only the pairs with a state that has an edge
-    into a row that lost a pair in the round before, since no other
-    pair's clauses read a changed row.  The loop stops after a round
-    that removes nothing, and that round is counted too.  The identity
-    pairs are never visited: every state answers its own challenges.
+    Starts from the full relation, or from the partition by the mode's
+    filter flag, and removes violated pairs.  A round visits the rows
+    of the states in the order of `Analysis.sweep`, successors first,
+    and each unordered pair of distinct states once, in the row of
+    whichever state comes first, columns ascending; so a pair usually
+    meets the pairs its challenges lead to already decided.  The first
+    round visits every pair; a later one only the pairs with a state
+    that has an edge into a row that lost a pair in the round before,
+    since no other pair's clauses read a changed row.  The loop stops
+    after a round that removes nothing, and that round is counted too.
+    The identity pairs are never visited: every state answers its own
+    challenges.
 
-    Returns the relation as row masks, the removal log, the rounds and
-    the challenge table.  The log holds four ints per removal, in order:
-    challenger, responder, the challenge's index in the challenger's
-    row (-1 for the initial filter) and the round (0 for the filter).
+    Returns the fixed point as a partition (`_classes`), the removal
+    log, the rounds and the challenge table.  The log holds four ints
+    per elimination, in order: challenger, responder, the challenge's
+    index in the challenger's row and the round.
     """
     if mode not in MODES and mode != _CONV_CCS:
         raise ValueError("unknown mode %r" % mode)
     n = len(lts)
-    an = analysis(lts)
     log = array("i")
     if mode in _FILTERS:
-        # the pairs (i, j), i < j, that disagree on the filter's flag
-        # open the log, rows first, columns ascending
         flag = getattr(an, "may_" + _FILTERS[mode])
         yes = sum(1 << i for i, v in enumerate(flag) if v)
         no = ((1 << n) - 1) ^ yes
         rel = [yes if v else no for v in flag]
-        for i, v in enumerate(flag):
-            for j in _bits((no if v else yes) >> (i + 1) << (i + 1)):
-                log.extend((i, j, -1, 0))
     else:
         rel = [(1 << n) - 1] * n
     table = _game(lts, an, mode)
@@ -307,50 +320,67 @@ def _eliminate(lts: Lts, mode: str) -> tuple[list[int], array, int, list]:
                     rel[t] &= ~(1 << s)
                     dirty |= 1 << s | 1 << t
         if not dirty:
-            return rel, log, rounds, table
+            return _classes(rel), log, rounds, table
         hot = 0
         for r in _bits(dirty):
             hot |= pred[r]
 
 
+def _classes(rows: list[int]) -> list[int]:
+    """Each state's class id, numbered by first appearance, when the row
+    masks form an equivalence: every state is in its own row, and the
+    distinct rows hold n states between them, so they are disjoint."""
+    ids: dict[int, int] = {}
+    block = [ids.setdefault(row, len(ids)) for row in rows]
+    assert all(row >> i & 1 for i, row in enumerate(rows))
+    assert sum(row.bit_count() for row in ids) == len(rows)
+    return block
+
+
 def _cone(
-    log: array, table: list, root: tuple[int, int], filtered: str | None
+    log: array, table: list, root: tuple[int, int], an, mode: str
 ) -> list[CertEntry]:
-    """The logged removals the refutation of the root pair reads.
+    """The filtered pairs and logged removals the refutation of the
+    root pair reads.
 
     An entry is kept when its unordered pair is needed, the root's
     first; a kept challenge then needs its target paired with each of
     the responder's answers.  Those pairs were gone when the entry was
-    logged, so they come earlier, and one backward pass finds them all.
+    logged, so they come earlier, and one backward pass finds every
+    one the log removed.  A needed pair it never met was never in the
+    relation: its states disagree on the mode's filter flag.  Such
+    pairs open the cone, rows first, columns ascending.
     """
     s, t = root
     need = {(s, t) if s < t else (t, s)}
     cone: list[CertEntry] = []
     entries = zip(log[-4::-4], log[-3::-4], log[-2::-4], log[-1::-4])
     for s, t, k, r in entries:
-        if ((s, t) if s < t else (t, s)) not in need:
+        pair = (s, t) if s < t else (t, s)
+        if pair not in need:
             continue
-        if k < 0:
-            cone.append(CertEntry((s, t), filtered, None, 0))
-            continue
+        need.remove(pair)
         clause, lab, s2, answers = table[s][k]
         for u in _bits(answers[t]):
             need.add((s2, u) if s2 < u else (u, s2))
         cone.append(CertEntry((s, t), clause, (s, lab, s2), r))
-    assert len(cone) == len(need), "a refuted response is not in the log"
+    if need:
+        assert mode in _FILTERS, "a refuted response is not in the log"
+        flag = getattr(an, "may_" + _FILTERS[mode])
+        assert all(flag[s] != flag[t] for s, t in need), (
+            "a refuted response is neither in the log nor filtered"
+        )
+        cone += [CertEntry(p, _FILTERS[mode], None, 0)
+                 for p in sorted(need, reverse=True)]
     cone.reverse()
     return cone
 
 
 def largest_bisimulation(lts: Lts, mode: str) -> Relation:
-    """The greatest relation satisfying the mode's clauses, as pairs."""
+    """The greatest relation satisfying the mode's clauses."""
     if lts.truncated:
         raise BoundExceeded("equivalence checking needs the full graph")
-    rel = _eliminate(lts, mode)[0]
-    pairs = frozenset(
-        (i, j) for i in range(len(lts)) for j in _bits(rel[i])
-    )
-    return Relation(mode, pairs)
+    return Relation(mode, tuple(_eliminate(lts, analysis(lts), mode)[0]))
 
 
 def check_states(lts: Lts, s: int, t: int, mode: str) -> EquivVerdict:
@@ -358,9 +388,10 @@ def check_states(lts: Lts, s: int, t: int, mode: str) -> EquivVerdict:
     the pair's refutation cone, empty when the verdict is positive."""
     if lts.truncated:
         raise BoundExceeded("equivalence checking needs the full graph")
-    rel, log, rounds, table = _eliminate(lts, mode)
-    related = bool(rel[s] >> t & 1)
-    cert = [] if related else _cone(log, table, (s, t), _FILTERS.get(mode))
+    an = analysis(lts)
+    block, log, rounds, table = _eliminate(lts, an, mode)
+    related = block[s] == block[t]
+    cert = [] if related else _cone(log, table, (s, t), an, mode)
     return EquivVerdict(related, mode, (s, t), rounds, cert, None, lts)
 
 

@@ -184,6 +184,9 @@ class Lts:
     identity.  `stable` and `commit` are read off the edges: a state
     is stable when it has no tau edge, and a stable state's commitment
     set is the communication labels of its edges, None on the others.
+    Every expanded state has an edge, tau or tick, so in a truncated
+    graph the edgeless states are the unexplored ones, and both are
+    None there.
     `verify_lts_laws` checks them against the rule-based `commitments`
     of each term.  `_analysis` is a write-once cache for everything
     derived from the graph, filled by `tccs.analyses.analysis`.
@@ -221,6 +224,10 @@ class Lts:
             frozenset(lab for lab, _ in out if lab.is_comm) if st else None
             for out, st in zip(succ, self.stable)
         ]
+        if truncated:
+            for i, out in enumerate(succ):
+                if not out:
+                    self.stable[i] = self.commit[i] = None
         self._analysis = None
 
     def __len__(self) -> int:
@@ -244,7 +251,8 @@ def build_lts(
 
     Stops, marking the result truncated, as soon as interning one more
     state would push the count past `bound`.  Unexplored states keep an
-    empty edge tuple; consumers must check the flag.
+    empty edge tuple, and so does the state whose expansion the bound
+    interrupted; consumers must check the flag.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -283,7 +291,8 @@ def build_lts(
             if j is None:
                 break
             edges.append((lab, j))
-        succ[i] = tuple(edges)
+        else:
+            succ[i] = tuple(edges)
 
     filled = [e if e is not None else () for e in succ]
     return Lts(defs, tuple(root_ids), terms, index, filled, truncated)

@@ -94,6 +94,39 @@ def test_lts_bound_is_exit_three(prog, capsys):
     assert "(truncated)" in capsys.readouterr().out
 
 
+def test_truncated_graphs_print_unexplored_states(tmp_path, capsys):
+    # The root offers a and two taus; the bound used to cut its
+    # expansion after the a edge and print it as stable.
+    f = tmp_path / "cyclers.tccs"
+    f.write_text(
+        "C(x, y) = x.tau.'y.C(x, y);\nR = C(u, v) | C(v, u) | a.0;\n",
+        encoding="ascii",
+    )
+    assert main(["lts", str(f), "-p", "R", "--bound", "2"]) == 3
+    text = capsys.readouterr().out
+    states = text.split("edges:")[0].splitlines()[1:]
+    assert len(states) == 2
+    assert all(line.endswith("  unexplored") for line in states)
+    assert "stable" not in text
+    assert main(["lts", str(f), "-p", "R", "--bound", "2",
+                 "--format", "json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["edges"] == []
+    assert all(
+        st["stable"] is None and st["commit"] is None for st in doc["states"]
+    )
+
+    assert main(["lts", str(f), "-p", "R", "--bound", "5"]) == 3
+    head, edges = capsys.readouterr().out.split("edges:")
+    states = head.splitlines()[1:]
+    assert not states[0].endswith("unexplored")
+    assert all(line.endswith("  unexplored") for line in states[1:])
+    assert len(states) == 5
+    assert edges.split() == [
+        "0", "-a->", "1", "0", "-tau->", "2", "0", "-tau->", "3"
+    ]
+
+
 def test_analyze_text_line(prog, capsys):
     assert main(["analyze", prog, "-p", "Q"]) == 0
     line = capsys.readouterr().out.strip()

@@ -21,7 +21,7 @@ from tccs import (
     parse_proc,
     weak,
 )
-from tccs.equiv import CONV, CONV_DIV, MODES, USUAL, USUAL_UNTIMED
+from tccs.equiv import CONV, CONV_DIV, MODES, USUAL, USUAL_UNTIMED, _classes
 from tccs.generate import GenConfig, random_pair, related_pair
 from tccs.lts import Lts
 from tccs.terms import NIL, TAU, TICK, DefTable, Prefix, inp
@@ -312,8 +312,22 @@ def test_relations_agree_with_the_reference(seed):
     if lts.truncated:
         return
     orc = Oracle(lts)
+    n = len(lts)
     for mode in (USUAL, CONV, CONV_DIV):
-        assert set(largest_bisimulation(lts, mode).pairs) == orc.gfp(mode)
+        rel = largest_bisimulation(lts, mode)
+        assert "pairs" not in vars(rel)
+        assert set(rel.pairs) == orc.gfp(mode)
+        for s in range(n):
+            for t in range(n):
+                assert ((s, t) in rel) == ((s, t) in rel.pairs)
+        assert (n, 0) not in rel and (-1, 0) not in rel
+
+
+def test_classes_refuse_rows_that_are_not_an_equivalence():
+    # symmetric and reflexive, but 0 ~ 1 ~ 2 without 0 ~ 2
+    with pytest.raises(AssertionError):
+        _classes([0b011, 0b111, 0b110])
+    assert _classes([0b101, 0b010, 0b101]) == [0, 1, 0]
 
 
 @given(seeds)
@@ -422,6 +436,36 @@ def test_explain_divergence_filter():
     verdict = check(res.process("Z"), res.process("P"), CONV_DIV, res.defs)
     text = explain(verdict)
     assert "[diverge]" in text and "may_diverge" in text
+
+
+def _entries(verdict):
+    return [
+        (e.pair, e.clause,
+         None if e.challenge is None
+         else (e.challenge[0], str(e.challenge[1]), e.challenge[2]),
+         e.round)
+        for e in verdict.certificate
+    ]
+
+
+def test_filtered_pairs_below_the_root_open_the_certificate():
+    # The filter cuts a pair the root's challenge leads to, not the
+    # root itself; its entries come first, rows first, columns ascending.
+    res = parse("D() = tau.D() + tau.0;\nP = a.0;\nQ = a.D();\n")
+    v = check(res.process("P"), res.process("Q"), CONV_DIV, res.defs)
+    assert _entries(v) == [
+        ((2, 3), "diverge", None, 0), ((1, 0), "lab", (1, "a", 3), 1)
+    ]
+    assert v.roots not in _replay(v, v.lts, v.mode)
+
+    res = parse("P = a.0;\nR = a.Omega;\n")
+    v = check_ccs_equivalently(res.process("P"), res.process("R"), res.defs)
+    assert _entries(v) == [
+        ((2, 3), "converge", None, 0),
+        ((2, 4), "converge", None, 0),
+        ((0, 1), "lab", (0, "a", 2), 1),
+    ]
+    assert v.roots not in _replay(v, v.lts, v.mode)
 
 
 RING = """\

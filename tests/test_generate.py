@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from tccs import build_lts, check, is_reactive
+from tccs import analysis, build_lts, check
 from tccs.generate import (
     GenConfig,
     random_ccs_term,
@@ -66,7 +66,7 @@ def test_reactive_terms_are_reactive(seed):
     p, defs = random_reactive_term(rng, CFG, ccs=bool(seed % 2))
     lts = build_lts([p], defs, bound=3000)
     assert not lts.truncated
-    assert is_reactive(lts, lts.roots[0])
+    assert analysis(lts).reactive[lts.roots[0]]
 
 
 @given(seeds)
