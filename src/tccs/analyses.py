@@ -1,4 +1,4 @@
-"""Per-state semantic predicates computed by reachability on a built graph.
+"""Per-state semantic predicates read off reachability masks of a graph.
 
 A state has converged when it offers no internal step; such a state is
 stable and lets time pass.  From there four derived notions stack up:
@@ -9,8 +9,8 @@ stable and lets time pass.  From there four derived notions stack up:
   steps of any polarity (tau, input, output, never tick).  This is the
   convergence a surrounding process can unlock by communicating, and it
   is what the convergence-sensitive checker keys its label clause on.
-* may_diverge: an infinite tau run exists, i.e. the tau graph reachable
-  from the state contains a cycle.
+* may_diverge: an infinite tau run exists, i.e. a state on a tau cycle
+  is reachable through tau steps.
 * barbs: the communication offers of the converged states reachable
   through tau steps; what an observer can see once the state settles.
 
@@ -18,21 +18,25 @@ Reactivity is a property of a root: every state reachable from it, by
 any sequence of steps, must be free of divergence, so every instant is
 guaranteed to end.
 
-All predicates are exact on an untruncated graph and are computed by
-condensing each edge set once and reading the condensation in one
-forward sweep, sinks first.  The tau graph's sweep gives divergence
-cores, convergence and barbs, and the tau closure, the per-state set
-of states reachable by zero or more tau steps, which the equivalence
-checkers respond with; the weak transitions under the other labels are
-built from it on first use, one label at a time.  The sweep over all
-edges gives ctx_converge, reactivity, and the checkers' elimination
-order with each state's predecessors.
+All predicates are exact on an untruncated graph.  Each edge set is
+condensed once, and each state gets the bitmask of the states it
+reaches, itself included (`_reach`): once over the tau edges, which is
+the tau closure, and once over all edges.  Every predicate is then one
+mask test: may_converge meets the settled states with the tau reach,
+may_diverge meets the states on a tau cycle with it, barbs unions the
+commitments of the settled states in it, ctx_converge meets the settled
+states with the reach over all edges, and reactive keeps that reach
+clear of the diverging states.  The equivalence checkers respond with
+the tau closure, and build the weak transitions under the other labels
+from it on first use, one label at a time; they eliminate in the
+emission order of the condensation of all edges, with each state's
+predecessors.
 
-ctx_converge needs no tick filter on that sweep: a state gets a tick
-edge only when it has no tau edge, so every tick edge leaves a stable
-state, and a stable state is reachable over all edges exactly when it
-is reachable over instantaneous ones.  `Analysis` is the one cache of
-everything derived from a graph, and it is stored on the graph itself.
+ctx_converge needs no tick filter: a state gets a tick edge only when
+it has no tau edge, so every tick edge leaves a stable state, and a
+stable state is reachable over all edges exactly when it is reachable
+over instantaneous ones.  `Analysis` is the one cache of everything
+derived from a graph, and it is stored on the graph itself.
 """
 
 from __future__ import annotations
@@ -67,16 +71,15 @@ class StateFacts:
 class Analysis:
     """All predicate tables for one graph, filled once at construction.
 
-    The tau edges are condensed once, for the tau facts, and all edges
-    once, for ctx_converge, reactivity and `sweep`.  ctx_converge reads
-    all edges, tick included: tick edges leave stable states only.
-
     `tau_closure[i]` is the bitmask of the states tau-reachable from
-    state i, itself included.  `sweep` is the elimination order of the
-    equivalence checkers, the states successors first, and `pred`, where
-    `pred[j]` is the bitmask of the states with an edge, of any label,
-    into j.  Weak transition masks under labels other than tau are
-    memoized per label by `weak_masks`.
+    state i, itself included; every tau predicate of state i is one
+    test of that mask, and ctx_converge and reactivity one test of the
+    reach over all edges, tick included: tick edges leave stable states
+    only.  `sweep` is the elimination order of the equivalence
+    checkers, the states successors first, and `pred`, where `pred[j]`
+    is the bitmask of the states with an edge, of any label, into j.
+    Weak transition masks under labels other than tau are memoized per
+    label by `weak_masks`.
     """
 
     __slots__ = (
@@ -99,76 +102,44 @@ class Analysis:
         # `_analysis`, and a cycle would keep a dead graph and its terms
         # alive until the cyclic collector runs.
         self.succ = lts.succ
-        self.stable = lts.stable
-        n = len(lts)
+        self.stable = stable = lts.stable
+        self._weak: dict[Label, list[int]] = {}
+        settled = sum(1 << v for v, st in enumerate(stable) if st)
+
         tau_succ = [
             [j for lab, j in out if lab.kind == "tau"] for out in lts.succ
         ]
+        reach, comps = _reach(tau_succ)
+        self.tau_closure = reach
+        looping = 0
+        for members in comps:
+            v = members[0]
+            if len(members) > 1 or v in tau_succ[v]:
+                for v in members:
+                    looping |= 1 << v
+        self.may_converge = [bool(m & settled) for m in reach]
+        self.may_diverge = div = [bool(m & looping) for m in reach]
+        commit = lts.commit
+        union: dict[int, frozenset[Label]] = {}
+        barbs = []
+        for m in reach:
+            m &= settled
+            bs = union.get(m)
+            if bs is None:
+                bs = frozenset().union(*[commit[v] for v in _bits(m)])
+                union[m] = bs
+            barbs.append(bs)
+        self.barbs = barbs
 
-        comp, comps = _sccs(n, tau_succ)
-
-        # comps come out innermost-first: every component is emitted
-        # after the components it can reach, so one forward sweep
-        # propagates divergence, convergence, barbs and the tau closure
-        # from the sinks.
-        div_comp = [False] * len(comps)
-        conv_comp = [False] * len(comps)
-        barb_comp: list[frozenset[Label]] = [frozenset()] * len(comps)
-        clo_comp = [0] * len(comps)
-        for c, members in enumerate(comps):
-            div = len(members) > 1 or any(v in tau_succ[v] for v in members)
-            conv = False
-            bs: set[Label] = set()
-            clo = 0
-            for v in members:
-                clo |= 1 << v
-                if lts.stable[v]:
-                    conv = True
-                    commit = lts.commit[v]
-                    assert commit is not None
-                    bs |= commit
-                for w in tau_succ[v]:
-                    c2 = comp[w]
-                    if c2 != c:
-                        div = div or div_comp[c2]
-                        conv = conv or conv_comp[c2]
-                        bs |= barb_comp[c2]
-                        clo |= clo_comp[c2]
-            div_comp[c] = div
-            conv_comp[c] = conv
-            barb_comp[c] = frozenset(bs)
-            clo_comp[c] = clo
-
-        self.may_diverge = [div_comp[comp[v]] for v in range(n)]
-        self.may_converge = [conv_comp[comp[v]] for v in range(n)]
-        self.barbs = [barb_comp[comp[v]] for v in range(n)]
-        self.tau_closure = [clo_comp[comp[v]] for v in range(n)]
-        self._weak: dict[Label, list[int]] = {}
-
-        # The condensation of all edges, read the same way: ctx_converge
-        # is "a stable state is reachable", reactive "no diverging state
-        # is", and the emission order of the components is the states
-        # successors first.
         all_succ = [[j for _, j in out] for out in lts.succ]
-        comp, comps = _sccs(n, all_succ)
-        ctx_comp = [False] * len(comps)
-        bad_comp = [False] * len(comps)
-        pred = [0] * n
-        for c, members in enumerate(comps):
-            ctx = bad = False
-            for v in members:
-                ctx = ctx or lts.stable[v]
-                bad = bad or self.may_diverge[v]
-                for w in all_succ[v]:
-                    pred[w] |= 1 << v
-                    c2 = comp[w]
-                    if c2 != c:
-                        ctx = ctx or ctx_comp[c2]
-                        bad = bad or bad_comp[c2]
-            ctx_comp[c] = ctx
-            bad_comp[c] = bad
-        self.ctx_converge = [ctx_comp[comp[v]] for v in range(n)]
-        self.reactive = [not bad_comp[comp[v]] for v in range(n)]
+        reach, comps = _reach(all_succ)
+        diverging = sum(1 << v for v, d in enumerate(div) if d)
+        self.ctx_converge = [bool(m & settled) for m in reach]
+        self.reactive = [not m & diverging for m in reach]
+        pred = [0] * len(reach)
+        for v, out in enumerate(all_succ):
+            for w in out:
+                pred[w] |= 1 << v
         self.sweep = ([v for members in comps for v in members], pred)
 
     def weak_masks(self, lab: Label) -> list[int]:
@@ -187,6 +158,9 @@ class Analysis:
                 for l2, k in out:
                     if l2 == lab:
                         pre[j] |= tclo[k]
+            # the bits of each closure are walked inline, not with
+            # `_bits`: this is the weak saturation's inner loop, and
+            # the generator made it 1.3-1.7x slower
             masks = []
             for rest in tclo:
                 m = 0
@@ -209,14 +183,41 @@ class Analysis:
         )
 
 
+def _bits(mask: int):
+    """The state ids set in a bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _reach(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Each state's reachability mask under an edge set, itself
+    included, and the edge set's components in emission order.
+
+    One forward sweep over the components: every component is emitted
+    after the components it can reach, so their masks are complete by
+    the time it ORs them in.
+    """
+    comp, comps = _sccs(len(succ), succ)
+    reach = [0] * len(comps)
+    for c, members in enumerate(comps):
+        m = 0
+        for v in members:
+            m |= 1 << v
+            for w in succ[v]:
+                m |= reach[comp[w]]
+        reach[c] = m
+    return [reach[c] for c in comp], comps
+
+
 def _sccs(
     n: int, succ: list[list[int]]
 ) -> tuple[list[int], list[list[int]]]:
     """Strongly connected components of a graph, iteratively.
 
     `succ[v]` lists the successors of state v in the edge set being
-    condensed: the tau edges for the tau facts, all edges for
-    ctx_converge, reactivity and the elimination order.
+    condensed.
 
     Returns the component id of each state and the component member
     lists in emission order, which places every component after all
@@ -292,7 +293,6 @@ def facts(lts: Lts, s: int) -> StateFacts:
 def facts_line(lts: Lts, s: int) -> str:
     """One-line summary of a state's facts, as printed by the CLI."""
     f = facts(lts, s)
-    bs = ",".join(str(lab) for lab in sorted(f.barbs, key=Label.sort_key))
     flags = [
         ("stable", f.stable),
         ("converge", f.may_converge),
@@ -301,5 +301,12 @@ def facts_line(lts: Lts, s: int) -> str:
         ("reactive", f.reactive_root),
     ]
     parts = ["%s=%s" % (k, "true" if v else "false") for k, v in flags]
-    parts.append("barbs={%s}" % bs)
+    parts.append("barbs=" + _label_set(f.barbs))
     return " ".join(parts)
+
+
+def _label_set(labels) -> str:
+    """A set of labels as printed: braced, comma-separated, sorted."""
+    return "{%s}" % ",".join(
+        str(lab) for lab in sorted(labels, key=Label.sort_key)
+    )

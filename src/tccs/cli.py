@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .analyses import facts, facts_line
+from .analyses import _label_set, facts, facts_line
 from .corpus import run_suite
 from .equiv import MODES, UntimedRefusal, check, explain, falsify_with_context
 from .lts import BoundExceeded, Lts, build_lts, step, to_dot, to_json
@@ -162,10 +162,7 @@ def _cmd_lts(args) -> int:
             if lts.stable[i] is None:
                 tail = "  unexplored"
             elif commit is not None:
-                offers = ",".join(
-                    str(lab) for lab in sorted(commit, key=Label.sort_key)
-                )
-                tail = "  stable, commits {%s}" % offers
+                tail = "  stable, commits " + _label_set(commit)
             print("  %d: %s%s" % (i, pretty(term), tail))
         print("edges:")
         for i, lab, j in lts.edges():

@@ -58,7 +58,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .analyses import analysis, may_converge
+from .analyses import _bits, _label_set, analysis, may_converge
 from .lts import BoundExceeded, Lts, build_lts
 from .terms import (
     NIL,
@@ -74,6 +74,7 @@ from .terms import (
     RestrictCtx,
     StaticContext,
     all_names,
+    canonicalize,
     classify,
     ensure_builtins,
     internal_choice,
@@ -114,13 +115,6 @@ _CONV_CCS = "conv-ccs"
 
 # ---------------------------------------------------------------------------
 # weak transitions
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
 
 
 def weak(lts: Lts, label: Label) -> set[tuple[int, int]]:
@@ -497,10 +491,27 @@ def _ready_families(
     return frozenset(fams)
 
 
-def _label_set(labels) -> str:
-    return "{%s}" % ",".join(
-        str(lab) for lab in sorted(labels, key=Label.sort_key)
-    )
+def _distinguish(lts: Lts) -> str | None:
+    """Why the two roots of a full graph visibly differ, if they do."""
+    r0, r1 = lts.roots
+    c0 = may_converge(lts, r0)
+    c1 = may_converge(lts, r1)
+    if c0 != c1:
+        return "may-converge disagrees: left=%s right=%s" % (
+            str(c0).lower(), str(c1).lower()
+        )
+    b0 = analysis(lts).barbs[r0]
+    b1 = analysis(lts).barbs[r1]
+    if b0 != b1:
+        return "root barbs disagree: left=%s right=%s" % (
+            _label_set(b0), _label_set(b1)
+        )
+    f0 = _ready_families(lts, r0)
+    f1 = _ready_families(lts, r1)
+    if f0 != f1:
+        odd = sorted(_label_set(fam) for fam in f0 ^ f1)
+        return "settled ready sets disagree: unmatched %s" % ", ".join(odd)
+    return None
 
 
 def falsify_with_context(
@@ -521,7 +532,9 @@ def falsify_with_context(
     tau-reachable states.  Any returned context is a sound witness of
     inequivalence; None means only that this enumeration found none.
     Contexts whose graphs exceed the bound are skipped (and reported
-    through `skipped` when given), not treated as evidence.
+    through `skipped` when given), not treated as evidence.  Each
+    distinct pair of canonical plugged processes is built once; a
+    context that plugs to one again shares its outcome.
     """
     defs = defs.copy() if defs is not None else DefTable()
     ensure_builtins(defs, omega=True)
@@ -529,52 +542,30 @@ def falsify_with_context(
     testers = _testers(p, q, supply)
     names = sorted(p.free | q.free)
 
+    # each distinct plugged pair is built once: whether its graph was
+    # truncated, for the contexts that plug to it again
+    built: dict[tuple[Process, Process], bool] = {}
     level: list[StaticContext] = [HOLE]
-    seen = {pretty_context(HOLE)}
-    for _ in range(depth + 1):
+    for d in range(depth + 1):
+        if d:
+            level = [
+                child
+                for ctx in level
+                for child in [ParWith(ctx, t) for t in testers]
+                + [RestrictCtx(a, ctx) for a in names]
+            ]
         for ctx in level:
-            cp = plug(ctx, p)
-            cq = plug(ctx, q)
-            lts = build_lts([cp, cq], defs, bound)
-            if lts.truncated:
-                if skipped is not None:
-                    skipped.append(pretty_context(ctx))
-                continue
-            r0, r1 = lts.roots
-            c0 = may_converge(lts, r0)
-            c1 = may_converge(lts, r1)
-            if c0 != c1:
-                return ctx, (
-                    "may-converge disagrees: left=%s right=%s"
-                    % (str(c0).lower(), str(c1).lower())
-                )
-            b0 = analysis(lts).barbs[r0]
-            b1 = analysis(lts).barbs[r1]
-            if b0 != b1:
-                return ctx, "root barbs disagree: left=%s right=%s" % (
-                    _label_set(b0),
-                    _label_set(b1),
-                )
-            f0 = _ready_families(lts, r0)
-            f1 = _ready_families(lts, r1)
-            if f0 != f1:
-                odd = sorted(
-                    _label_set(fam) for fam in (f0 ^ f1)
-                )
-                return ctx, (
-                    "settled ready sets disagree: unmatched %s"
-                    % ", ".join(odd)
-                )
-        nxt: list[StaticContext] = []
-        for ctx in level:
-            cands: list[StaticContext] = [ParWith(ctx, t) for t in testers]
-            cands += [RestrictCtx(a, ctx) for a in names]
-            for cand in cands:
-                text = pretty_context(cand)
-                if text not in seen:
-                    seen.add(text)
-                    nxt.append(cand)
-        level = nxt
+            pair = (canonicalize(plug(ctx, p)), canonicalize(plug(ctx, q)))
+            truncated = built.get(pair)
+            if truncated is None:
+                lts = build_lts(list(pair), defs, bound)
+                truncated = built[pair] = lts.truncated
+                if not truncated:
+                    found = _distinguish(lts)
+                    if found is not None:
+                        return ctx, found
+            if truncated and skipped is not None:
+                skipped.append(pretty_context(ctx))
     return None
 
 

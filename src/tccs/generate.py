@@ -362,7 +362,12 @@ def related_pair(
         if how == "dup":
             replacement: Process = Sum(target, target)
         elif how == "tau":
-            replacement = make_tau(target, supply.fresh())
+            # unfolding may rename a binder of the body to a machine
+            # name, so a name fresh for p need not be fresh here
+            fresh = supply.fresh()
+            while fresh in target.free:
+                fresh = supply.fresh()
+            replacement = make_tau(target, fresh)
         else:
             assert isinstance(target, Call)
             d = defs.lookup(target.ident)

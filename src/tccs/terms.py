@@ -50,7 +50,6 @@ __all__ = [
     "DefTable",
     "Definition",
     "NameSupply",
-    "is_machine_name",
     "all_names",
     "substitute",
     "canonicalize",
@@ -74,10 +73,6 @@ __all__ = [
 ]
 
 KEYWORDS = frozenset({"new", "else", "tau", "tick", "emit", "present", "Omega"})
-
-
-def is_machine_name(name: str) -> bool:
-    return name.startswith("#")
 
 
 class NameSupply:

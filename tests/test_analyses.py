@@ -7,7 +7,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import Oracle
+from oracles import Oracle, enumeration_kit, small_terms
 from tccs import (
     BoundExceeded,
     analysis,
@@ -116,13 +116,7 @@ def test_implications_between_the_predicates(seed):
         assert not a.may_diverge[root]
 
 
-@given(seeds)
-@settings(max_examples=100, deadline=None)
-def test_facts_agree_with_the_reference(seed):
-    p, defs = random_term(random.Random(seed), GenConfig(depth=4, max_defs=3))
-    lts = build_lts([p], defs, bound=800)
-    if lts.truncated:
-        return
+def _assert_agrees_with_the_reference(lts):
     a = analysis(lts)
     orc = Oracle(lts)
     for s in range(len(lts)):
@@ -142,6 +136,26 @@ def test_facts_agree_with_the_reference(seed):
         assert states(a.tau_closure[s]) == orc.tau_star[s]
         for lab in labels:
             assert states(a.weak_masks(lab)[s]) == orc.weak(s, lab)
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_facts_agree_with_the_reference(seed):
+    p, defs = random_term(random.Random(seed), GenConfig(depth=4, max_defs=3))
+    lts = build_lts([p], defs, bound=800)
+    if lts.truncated:
+        return
+    _assert_agrees_with_the_reference(lts)
+
+
+def test_facts_agree_with_the_reference_on_the_pool():
+    # Every term up to two operators over the kit's atoms, on one graph:
+    # loops with and without exits, behind and beside prefixes, which
+    # small random terms rarely combine.
+    atoms, defs = enumeration_kit()
+    lts = build_lts(small_terms(("a",), 2, atoms), defs)
+    assert len(lts) == 808
+    _assert_agrees_with_the_reference(lts)
 
 
 @given(seeds)

@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tccs.equiv
 from oracles import CONV_CCS, Oracle
 from tccs import (
     BoundExceeded,
@@ -24,7 +25,7 @@ from tccs import (
 from tccs.equiv import CONV, CONV_DIV, MODES, USUAL, USUAL_UNTIMED, _classes
 from tccs.generate import GenConfig, random_pair, related_pair
 from tccs.lts import Lts
-from tccs.terms import NIL, TAU, TICK, DefTable, Prefix, inp
+from tccs.terms import NIL, TAU, TICK, DefTable, Prefix, canonicalize, inp
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -404,6 +405,44 @@ def test_oversized_plugs_are_skipped_not_fatal():
     skipped = []
     found = falsify_with_context(p, q, defs, depth=1, bound=6, skipped=skipped)
     assert skipped, "a tiny bound must force skips"
+
+
+def _count_builds(monkeypatch) -> dict:
+    """Wrap the falsifier's graph builder; the result maps each root
+    pair built to the truncation flags of its builds."""
+    builds: dict[tuple, list[bool]] = {}
+    real = tccs.equiv.build_lts
+
+    def counted(roots, *args, **kwargs):
+        lts = real(roots, *args, **kwargs)
+        key = tuple(canonicalize(r) for r in roots)
+        builds.setdefault(key, []).append(lts.truncated)
+        return lts
+
+    monkeypatch.setattr(tccs.equiv, "build_lts", counted)
+    return builds
+
+
+def test_falsifier_builds_each_plugged_pair_once(monkeypatch):
+    p, q, defs = _pair("a.0 | Omega", "Omega")
+    builds = _count_builds(monkeypatch)
+    assert falsify_with_context(p, q, defs, depth=2) is None
+    assert all(len(flags) == 1 for flags in builds.values())
+    # one free name: six testers and one restriction per layer, so
+    # 1 + 7 + 49 contexts, of which [] | t | u and [] | u | t plug alike
+    assert len(builds) < 1 + 7 + 49
+
+
+def test_a_repeated_oversized_plug_is_skipped_again(monkeypatch):
+    p, q, defs = _pair("a.b.0", "a.0")
+    builds = _count_builds(monkeypatch)
+    skipped = []
+    found = falsify_with_context(p, q, defs, depth=2, bound=2, skipped=skipped)
+    assert found is None
+    assert all(len(flags) == 1 for flags in builds.values())
+    truncated = sum(flags[0] for flags in builds.values())
+    # each context is reported once, a repeated one too
+    assert len(set(skipped)) == len(skipped) > truncated
 
 
 @given(seeds)

@@ -77,6 +77,14 @@ def test_related_pairs_survive_the_usual_game(seed):
     assert check(p, q, "usual", defs, bound=2000).related
 
 
+def test_a_tau_guard_after_an_unfolding_gets_a_fresh_name():
+    # seed 16506713 unfolds D1(d, a) with body new a. c.D1(a, a), which
+    # renames the binder to #1, then guards the term under it
+    rng = random.Random(16506713)
+    p, q, defs = related_pair(rng, GenConfig(depth=3, max_defs=1))
+    assert check(p, q, "usual", defs, bound=2000).related
+
+
 def test_config_bounds_are_respected():
     cfg = GenConfig(depth=3, max_defs=2, names=("x", "y"))
     for seed in range(40):
