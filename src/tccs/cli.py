@@ -242,7 +242,8 @@ def _cmd_step(args) -> int:
             return EXIT_OK
         if line in ("q", "quit", "exit"):
             return EXIT_OK
-        if not line.isdigit() or int(line) >= len(moves):
+        # str.isdigit also accepts digits such as '²' that int refuses
+        if not (line.isascii() and line.isdigit()) or int(line) >= len(moves):
             print("pick a transition index, or q to quit")
             continue
         lab, cur = moves[int(line)]

@@ -16,6 +16,10 @@ States of a built graph are canonical terms, so commutation of
 branches, inert units and dead restrictions never blow up the state
 count.  Construction is bounded; hitting the bound is reported in the
 result, not raised, and downstream analyses refuse truncated graphs.
+
+Terms are hash-consed, so one component recurs across many states.
+`build_lts` computes the moves of each once, in a memo that dies
+with the call and so keeps no term alive.
 """
 
 from __future__ import annotations
@@ -59,52 +63,74 @@ class BoundExceeded(Exception):
 # strong transitions
 
 
-def step(p: Process, defs: DefTable) -> list[tuple[Label, Process]]:
+def step(
+    p: Process,
+    defs: DefTable,
+    memo: dict[Process, list[tuple[Label, Process]]] | None = None,
+) -> list[tuple[Label, Process]]:
     """All strong transitions of p, targets canonicalized.
 
     The tick successor is present exactly when no tau step is, and is
     unique.  The result is deduplicated and deterministically ordered.
+    `memo` is `_alpha`'s, None for a fresh one; its lists are shared,
+    so the tick is added to a copy.
     """
-    raw = _alpha(p, defs)
-    if not any(lab.kind == "tau" for lab, _ in raw):
-        raw.append((TICK, _tick(p)))
+    raw = _alpha(p, defs, {} if memo is None else memo)
+    if not any(lab is TAU for lab, _ in raw):
+        raw = raw + [(TICK, _tick(p))]
     out: dict[tuple[Label, Process], None] = {}
     for lab, q in raw:
         out.setdefault((lab, canonicalize(q)), None)
     return sorted(out, key=lambda e: (e[0].sort_key(), pretty(e[1])))
 
 
-def _alpha(p: Process, defs: DefTable) -> list[tuple[Label, Process]]:
-    """Instantaneous steps: communication, synchronization, unfolding."""
+def _alpha(
+    p: Process, defs: DefTable, memo: dict[Process, list[tuple[Label, Process]]]
+) -> list[tuple[Label, Process]]:
+    """Instantaneous steps: communication, synchronization, unfolding.
+
+    `Sum`, `Restrict`, `Call` and `ElseNext` nodes read and fill
+    `memo`, keyed by the node.  `Nil` and `Prefix` cost no more to
+    compute than to look up.  A `Par`'s moves are fresh compositions
+    for each state, so storing them would grow a build's memory for no
+    gain.  Stored lists are shared: no caller may mutate a result.
+    """
     match p:
         case Nil():
             return []
         case Prefix(pol, a, k):
             return [(Label(pol, a), k)]
-        case Sum(l, r):
-            return _alpha(l, defs) + _alpha(r, defs)
         case Par(l, r):
-            ls = _alpha(l, defs)
-            rs = _alpha(r, defs)
+            ls = _alpha(l, defs, memo)
+            rs = _alpha(r, defs, memo)
             steps = [(lab, Par(l2, r)) for lab, l2 in ls]
             steps += [(lab, Par(l, r2)) for lab, r2 in rs]
             for lab, l2 in ls:
                 if not lab.is_comm:
                     continue
                 co = lab.co()
-                steps += [(TAU, Par(l2, r2)) for lab2, r2 in rs if lab2 == co]
+                steps += [(TAU, Par(l2, r2)) for lab2, r2 in rs if lab2 is co]
             return steps
+    moves = memo.get(p)
+    if moves is not None:
+        return moves
+    match p:
+        case Sum(l, r):
+            moves = _alpha(l, defs, memo) + _alpha(r, defs, memo)
         case Restrict(a, b):
-            return [
+            moves = [
                 (lab, Restrict(a, b2))
-                for lab, b2 in _alpha(b, defs)
+                for lab, b2 in _alpha(b, defs, memo)
                 if lab.name != a
             ]
         case Call(ident, args):
-            return [(TAU, defs.lookup(ident).instance(args))]
+            moves = [(TAU, defs.lookup(ident).instance(args))]
         case ElseNext(now, _):
-            return _alpha(now, defs)
-    raise AssertionError("unreachable node %r" % p)
+            moves = _alpha(now, defs, memo)
+        case _:
+            raise AssertionError("unreachable node %r" % p)
+    memo[p] = moves
+    return moves
 
 
 def _tick(p: Process) -> Process:
@@ -253,6 +279,9 @@ def build_lts(
     state would push the count past `bound`.  Unexplored states keep an
     empty edge tuple, and so does the state whose expansion the bound
     interrupted; consumers must check the flag.
+
+    Each state is expanded by one call of the module's `step`, given
+    one `_alpha` memo for the whole call, dropped when it returns.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -281,12 +310,13 @@ def build_lts(
             break
         root_ids.append(i)
 
+    memo: dict[Process, list[tuple[Label, Process]]] = {}
     frontier = 0
     while frontier < len(terms) and not truncated:
         i = frontier
         frontier += 1
         edges: list[tuple[Label, int]] = []
-        for lab, q in step(terms[i], defs):
+        for lab, q in step(terms[i], defs, memo):
             j = intern(q)
             if j is None:
                 break

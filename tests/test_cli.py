@@ -334,10 +334,10 @@ def test_step_tick_advances_the_instant(prog, monkeypatch, capsys):
 
 
 def test_step_rejects_garbage_and_survives_eof(prog, monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("x\n9\n"))
+    monkeypatch.setattr("sys.stdin", io.StringIO("x\n9\n\u00b2\n"))
     assert main(["step", prog, "-p", "Q"]) == 0
     out = capsys.readouterr().out
-    assert out.count("pick a transition index, or q to quit") == 2
+    assert out.count("pick a transition index, or q to quit") == 3
 
 
 def test_paper_suite_runs_clean(capsys):

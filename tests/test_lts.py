@@ -3,6 +3,7 @@
 import random
 
 import pytest
+import tccs.lts
 from hypothesis import given, settings, strategies as st
 
 from oracles import canonical
@@ -18,7 +19,7 @@ from tccs import (
 )
 from tccs.lts import Lts, to_dot, to_json
 from tccs.terms import TAU, TICK, Call, Label, Restrict, canonicalize, inp, out
-from tccs.generate import GenConfig, random_term
+from tccs.generate import GenConfig, random_pair, random_term
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -187,19 +188,58 @@ def test_laws_hold_on_random_terms(seed):
     assert verify_lts_laws(lts) == []
 
 
-@given(seeds)
-@settings(max_examples=120, deadline=None)
-def test_step_agrees_with_graph_edges(seed):
-    p, defs = random_term(random.Random(seed), GenConfig(depth=4, max_defs=2))
-    lts = build_lts([p], defs, bound=2000)
-    if lts.truncated:
-        return
+def _assert_step_agrees_with_edges(lts):
+    # `step` without a memo against the edges `build_lts` stored with one
     for s in range(len(lts)):
         direct = {
-            (lab, canonicalize(t)) for lab, t in step(lts.terms[s], defs)
+            (lab, canonicalize(t)) for lab, t in step(lts.terms[s], lts.defs)
         }
         stored = {(lab, lts.terms[j]) for lab, j in lts.succ[s]}
         assert direct == stored
+
+
+@given(seeds)
+@settings(max_examples=120, deadline=None)
+def test_step_agrees_with_graph_edges(seed):
+    rng = random.Random(seed)
+    p, defs = random_term(rng, GenConfig(depth=4, max_defs=2))
+    q, r, pair_defs = random_pair(rng, GenConfig(depth=3, max_defs=2))
+    for lts in (
+        build_lts([p], defs, bound=2000),
+        build_lts([q, r], pair_defs, bound=2000),
+    ):
+        if not lts.truncated:
+            _assert_step_agrees_with_edges(lts)
+
+
+def test_a_memoized_component_gets_no_tick_of_its_own():
+    # The stable sum S is expanded first and ticks; it is also a
+    # component of the second root, which synchronizes and so must not
+    # tick.  Were the tick stored into the moves of S, it would.
+    s, defs = parse_proc("a.0 + b.0")
+    r, _ = parse_proc("(a.0 + b.0) | 'a.0")
+    lts = build_lts([s, r], defs)
+    assert (TICK, lts.roots[0]) in lts.succ[lts.roots[0]]
+    assert all(lab is not TICK for lab, _ in lts.succ[lts.roots[1]])
+    _assert_step_agrees_with_edges(lts)
+    assert verify_lts_laws(lts) == []
+
+
+def test_build_lts_calls_the_module_step_once_per_state(monkeypatch):
+    res = parse("C(x, y) = x.tau.'y.C(x, y);\nR = C(u, v) | C(v, u);\n")
+    p = res.process("R")
+    plain = build_lts([p], res.defs)
+    calls = []
+    real = tccs.lts.step
+
+    def counted(q, *args):
+        calls.append(q)
+        return real(q, *args)
+
+    monkeypatch.setattr(tccs.lts, "step", counted)
+    lts = build_lts([p], res.defs)
+    assert calls == lts.terms == plain.terms
+    assert lts.succ == plain.succ and lts.roots == plain.roots
 
 
 def test_json_export_shape():
