@@ -19,13 +19,17 @@ result, not raised, and downstream analyses refuse truncated graphs.
 
 Terms are hash-consed, so one component recurs across many states.
 `build_lts` computes the moves of each once, in a memo that dies
-with the call and so keeps no term alive.
+with the call and so keeps no term alive.  A state is most often a
+canonical composition, and an edge moves one of its components, or
+two that synchronize, while a tick moves each.  So `step` reads each
+component's moves, targets already canonical, from the memo and
+swaps the moved components for their targets' operands, instead of
+rebuilding and canonicalizing the whole state for every edge.
 """
 
 from __future__ import annotations
 
 from .terms import (
-    NIL,
     TAU,
     TICK,
     Call,
@@ -38,8 +42,10 @@ from .terms import (
     Process,
     Restrict,
     Sum,
+    _flat,
     canonicalize,
     classify,
+    compose,
     pretty,
 )
 
@@ -66,34 +72,95 @@ class BoundExceeded(Exception):
 def step(
     p: Process,
     defs: DefTable,
-    memo: dict[Process, list[tuple[Label, Process]]] | None = None,
+    memo: dict | None = None,
 ) -> list[tuple[Label, Process]]:
     """All strong transitions of p, targets canonicalized.
 
     The tick successor is present exactly when no tau step is, and is
     unique.  The result is deduplicated and deterministically ordered.
-    `memo` is `_alpha`'s, None for a fresh one; its lists are shared,
-    so the tick is added to a copy.
+    A canonical composition is stepped one component at a time
+    (`_compose_moves`); any other term through `_alpha` and a
+    canonicalization of each target.  `memo` holds the moves of both,
+    None for a fresh one; its lists are shared, so none is mutated.
     """
-    raw = _alpha(p, defs, {} if memo is None else memo)
-    if not any(lab is TAU for lab, _ in raw):
-        raw = raw + [(TICK, _tick(p))]
-    out: dict[tuple[Label, Process], None] = {}
-    for lab, q in raw:
-        out.setdefault((lab, canonicalize(q)), None)
-    return sorted(out, key=lambda e: (e[0].sort_key(), pretty(e[1])))
+    if memo is None:
+        memo = {}
+    if type(p) is Par and canonicalize(p) is p:
+        moves = _compose_moves(p, defs, memo)
+    else:
+        raw = _alpha(p, defs, memo)
+        if not any(lab is TAU for lab, _ in raw):
+            raw = raw + [(TICK, _tick(p))]
+        moves = [(lab, canonicalize(q)) for lab, q in raw]
+    return sorted(
+        dict.fromkeys(moves), key=lambda e: (e[0].sort_key(), pretty(e[1]))
+    )
+
+
+def _compose_moves(
+    p: Par, defs: DefTable, memo: dict
+) -> list[tuple[Label, Process]]:
+    """The moves of a canonical composition, targets canonical.
+
+    A move swaps the component that moved, or the two that
+    synchronized, for the operands of their targets, and a tick swaps
+    every component; `compose` builds the result.  Equal components
+    are adjacent and move alike, so only the first of a run moves on
+    its own or as the earlier of a pair.
+    """
+    parts = _flat(p, Par)
+    comps = [_component(c, defs, memo) for c in parts]
+    moves = []
+    for i, c in enumerate(parts):
+        if i and c is parts[i - 1]:
+            continue
+        head, tail = parts[:i], parts[i + 1 :]
+        for lab, new in comps[i][0]:
+            moves.append((lab, compose([*head, *new, *tail])))
+            if not lab.is_comm:
+                continue
+            co = lab.co()
+            for j in range(i + 1, len(parts)):
+                if j > i + 1 and parts[j] is parts[j - 1]:
+                    continue
+                for lab2, new2 in comps[j][0]:
+                    if lab2 is co:
+                        pair = [*head, *new, *parts[i + 1 : j], *new2]
+                        moves.append((TAU, compose(pair + parts[j + 1 :])))
+    if not any(lab is TAU for lab, _ in moves):
+        moves.append((TICK, compose([q for _, tick in comps for q in tick])))
+    return moves
+
+
+def _component(c: Process, defs: DefTable, memo: dict) -> tuple[list, list | None]:
+    """A component's moves and, if it is stable, its tick.
+
+    Each target is the operand list of its canonical form.  Stored in
+    `memo` under `(c,)`, apart from `_alpha`'s entry for `c`.
+    """
+    entry = memo.get((c,))
+    if entry is None:
+        moves = [
+            (lab, _flat(canonicalize(q), Par)) for lab, q in _alpha(c, defs, memo)
+        ]
+        stable = not any(lab is TAU for lab, _ in moves)
+        tick = _flat(canonicalize(_tick(c)), Par) if stable else None
+        entry = memo[(c,)] = (moves, tick)
+    return entry
 
 
 def _alpha(
-    p: Process, defs: DefTable, memo: dict[Process, list[tuple[Label, Process]]]
+    p: Process, defs: DefTable, memo: dict
 ) -> list[tuple[Label, Process]]:
     """Instantaneous steps: communication, synchronization, unfolding.
 
     `Sum`, `Restrict`, `Call` and `ElseNext` nodes read and fill
     `memo`, keyed by the node.  `Nil` and `Prefix` cost no more to
-    compute than to look up.  A `Par`'s moves are fresh compositions
-    for each state, so storing them would grow a build's memory for no
-    gain.  Stored lists are shared: no caller may mutate a result.
+    compute than to look up.  A `Par` reached here is not a canonical
+    state, which `step` splits into its components, but an operand of
+    another node or a term given to `step` as it is: its moves would
+    be stored for few lookups, so they are not.  Stored lists are
+    shared: no caller may mutate a result.
     """
     match p:
         case Nil():
@@ -281,7 +348,7 @@ def build_lts(
     interrupted; consumers must check the flag.
 
     Each state is expanded by one call of the module's `step`, given
-    one `_alpha` memo for the whole call, dropped when it returns.
+    one memo of moves for the whole call, dropped when it returns.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -310,7 +377,7 @@ def build_lts(
             break
         root_ids.append(i)
 
-    memo: dict[Process, list[tuple[Label, Process]]] = {}
+    memo: dict = {}
     frontier = 0
     while frontier < len(terms) and not truncated:
         i = frontier
@@ -339,13 +406,16 @@ def verify_lts_laws(lts: Lts) -> list[str]:
     edge; the tick successor is unique; a state restricted to the
     calculus without else_next ticks to itself; the term's rule-based
     commitment set (`commitments`) is present exactly on stable states
-    and then lists the communications its edges offer.  A non-empty
-    report means an engine bug.
+    and then lists the communications its edges offer; the term is its
+    own canonical form, which `step` relies on to move a composition's
+    components one at a time.  A non-empty report means an engine bug.
     """
     if lts.truncated:
         raise BoundExceeded("laws are only meaningful on a complete graph")
     report: list[str] = []
     for i, term in enumerate(lts.terms):
+        if canonicalize(term) is not term:
+            report.append("state %d (%s): not in canonical form" % (i, pretty(term)))
         out = lts.succ[i]
         taus = [j for lab, j in out if lab.kind == "tau"]
         ticks = [j for lab, j in out if lab.kind == "tick"]

@@ -19,9 +19,11 @@ and compare by identity.  Every node precomputes its free-name set,
 which keeps capture checks cheap, and caches its printed form on first
 use, which is the sort key of canonical forms and of successor lists.
 It also caches its canonical form on first use, in the style of the
-per-node memo tables that hash-consing makes safe: a successor of a
-canonical state shares every component but the one that moved, so
-canonicalizing it rebuilds only that component.  The same renaming
+per-node memo tables that hash-consing makes safe.  `compose` builds a
+canonical composition from canonical operands: a successor of a
+canonical state shares every component but the ones that moved, so it
+is composed from those as they are and the canonical forms of the
+moved ones, without canonicalizing the whole again.  The same renaming
 instantiates a call: the canonical form of a definition's body with
 arguments for parameters is one pass of it (`Definition.instance`).
 """
@@ -53,6 +55,7 @@ __all__ = [
     "all_names",
     "substitute",
     "canonicalize",
+    "compose",
     "pretty",
     "classify",
     "Classification",
@@ -522,8 +525,10 @@ def pretty(p: Process) -> str:
 def _pp(p: Process, level: int) -> str:
     # level 0: composition, 1: sum, 2: prefix operand.  The text at
     # level 0 is cached on the node; the other levels at most add
-    # parentheses around it.  This stays one frame per term level, so
-    # the cache does not lower the depth of the terms that print.
+    # parentheses around it.  A nest of sums or compositions prints
+    # along its left spine in one frame, so a wide term prints at any
+    # width; elsewhere it is one frame per term level, and the cache
+    # does not lower the depth of the terms that print.
     text = p._text
     if text is None:
         match p:
@@ -532,10 +537,19 @@ def _pp(p: Process, level: int) -> str:
             case Prefix(pol, a, k):
                 act = a if pol == "in" else "'" + a
                 text = "%s.%s" % (act, _pp(k, 2))
-            case Sum(l, r):
-                text = "%s + %s" % (_pp(l, 1), _pp(r, 2))
-            case Par(l, r):
-                text = "%s | %s" % (_pp(l, 0), _pp(r, 1))
+            case Sum(_, _) | Par(_, _):
+                cls = type(p)
+                # a left operand prints one level looser than a right one
+                sep, rlevel = (" + ", 2) if cls is Sum else (" | ", 1)
+                spine = []
+                q = p
+                while type(q) is cls and q._text is None:
+                    spine.append(q)
+                    q = q.left  # type: ignore[attr-defined]
+                text = _pp(q, rlevel - 1)
+                for q in reversed(spine):
+                    text = "%s%s%s" % (text, sep, _pp(q.right, rlevel))
+                    q._text = text
             case Restrict(a, b):
                 text = "new %s. %s" % (a, _pp(b, 2))
             case Call(ident, args):
@@ -601,19 +615,9 @@ def _canon(p: Process, ren: dict[str, str]) -> Process:
             parts.sort(key=pretty)
             c = _rebuild(parts, Sum)
         case Par(_, _):
-            parts = [
-                r
-                for q in _flat(p, Par)
-                for r in _flat(_canon(q, ren), Par)
-                if r is not NIL
-            ]
-            if not parts:
-                c = NIL
-            elif len(parts) == 1:
-                c = parts[0]
-            else:
-                parts.sort(key=pretty)
-                c = _rebuild(parts, Par)
+            c = compose(
+                [r for q in _flat(p, Par) for r in _flat(_canon(q, ren), Par)]
+            )
         case Restrict(a, b):
             if a not in b.free:
                 c = _canon(b, ren)
@@ -664,6 +668,21 @@ def _rebuild(parts: list[Process], cls: type) -> Process:
     for q in parts[1:]:
         acc = cls(acc, q)
     return acc
+
+
+def compose(parts: list[Process]) -> Process:
+    """The canonical composition of canonical operands.
+
+    No operand may be a composition itself.  Inert operands are
+    dropped and the others sorted by printed form, so this is the one
+    place that builds a canonical composition; the result is marked as
+    its own canonical form.
+    """
+    parts = [q for q in parts if q is not NIL]
+    parts.sort(key=pretty)
+    c = _rebuild(parts, Par) if parts else NIL
+    c._canonical = _CANONICAL
+    return c
 
 
 # ---------------------------------------------------------------------------

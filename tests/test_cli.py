@@ -281,6 +281,29 @@ def test_a_too_deep_term_is_an_internal_error_in_one_line(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_a_wide_composition_steps_and_prints(tmp_path, capsys):
+    # each state drops one a.0; the bound stops the graph at five states
+    f = tmp_path / "wide.tccs"
+    f.write_text("P = %s;\n" % " | ".join(["a.0"] * 1500), encoding="ascii")
+    assert main(["lts", str(f), "-p", "P", "--bound", "5"]) == 3
+    want = ["states: 5  (truncated)"]
+    for k in range(5):
+        tail = "unexplored" if k == 4 else "stable, commits {a}"
+        want.append("  %d: %s  %s" % (k, " | ".join(["a.0"] * (1500 - k)), tail))
+    want.append("edges:")
+    for k in range(4):
+        want += ["  %d -a-> %d" % (k, k + 1), "  %d -tick-> %d" % (k, k)]
+    assert capsys.readouterr() == ("\n".join(want) + "\n", "")
+
+
+def test_a_wide_sum_parses_and_prints(tmp_path, capsys):
+    text = "P = %s;\n" % " + ".join(["a.0"] * 3000)
+    f = tmp_path / "wide.tccs"
+    f.write_text(text, encoding="ascii")
+    assert main(["parse", str(f)]) == 0
+    assert capsys.readouterr() == (text, "")
+
+
 def test_check_bad_mode_is_an_argparse_error(prog, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", prog, "-p", "Z", "-q", "Z", "--rel", "strong"])

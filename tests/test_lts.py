@@ -242,6 +242,80 @@ def test_build_lts_calls_the_module_step_once_per_state(monkeypatch):
     assert lts.succ == plain.succ and lts.roots == plain.roots
 
 
+def _reference_step(p, defs, memo=None):
+    # every term stepped as a whole: `_alpha` on the term, then each
+    # target canonicalized by the oracle, which builds no composition
+    # through `compose` and reads no cached canonical form
+    raw = tccs.lts._alpha(p, defs, {})
+    if not any(lab is TAU for lab, _ in raw):
+        raw = raw + [(TICK, tccs.lts._tick(p))]
+    out = dict.fromkeys((lab, canonical(q)) for lab, q in raw)
+    return sorted(out, key=lambda e: (e[0].sort_key(), pretty(e[1])))
+
+
+def _assert_component_path_matches(roots, defs, bound):
+    lts = build_lts(roots, defs, bound)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tccs.lts, "step", _reference_step)
+        ref = build_lts(roots, defs, bound)
+    assert lts.terms == ref.terms and lts.succ == ref.succ
+    assert lts.roots == ref.roots and lts.truncated == ref.truncated
+    assert all(canonicalize(t) is t for t in lts.terms)
+    return lts
+
+
+def _ring(k):
+    ns = "abcdefgh"[:k]
+    cyclers = " | ".join("Cyc(%s, %s)" % (ns[i], ns[(i + 1) % k]) for i in range(k))
+    res = parse("Cyc(x, y) = x.tau.'y.Cyc(x, y);\nR = %s | '%s.0;\n" % (cyclers, ns[0]))
+    return res.process("R"), res.defs
+
+
+def test_compositions_step_by_component_as_whole_terms_do():
+    # graphs, edge order and canonical states equal those of stepping
+    # every state as a whole term
+    for k in (3, 4):
+        p, defs = _ring(k)
+        assert len(_assert_component_path_matches([p], defs, 10000)) == 2 * 4**k
+    # equal components move alike and synchronize with each other
+    for src in (
+        "a.0 | a.0 | 'a.0 | 'a.0",
+        "b.0 | a.b.0 | a.b.0 | 'a.0 | 'b.0",
+        "(a.0 + 'a.0) | (a.0 + 'a.0) | c.0",
+    ):
+        p, defs = parse_proc(src)
+        _assert_component_path_matches([p], defs, 10000)
+    # the `pairs` benchmark population: 400 untruncated pairs
+    configs = (
+        GenConfig(depth=4, max_defs=2, allow_else=False),
+        GenConfig(depth=4, max_defs=2),
+    )
+    rng = random.Random(1)
+    kept = 0
+    while kept < 400:
+        p, q, defs = random_pair(rng, configs[kept % 2])
+        kept += not _assert_component_path_matches([p, q], defs, 200).truncated
+    # seeded pairs under bounds small enough that some graphs truncate
+    truncated = 0
+    for seed in range(2000):
+        p, q, defs = random_pair(random.Random(seed), GenConfig(depth=4, max_defs=2))
+        lts = _assert_component_path_matches([p, q], defs, 10 + seed % 40)
+        truncated += lts.truncated
+    assert 0 < truncated < 2000
+
+
+def test_verify_laws_reports_a_state_not_in_canonical_form():
+    lts = _graph("a.0 | b.0")
+    root = lts.roots[0]
+    swapped = parse_proc("b.0 | a.0")[0]
+    assert canonicalize(swapped) is lts.terms[root] is not swapped
+    terms = [swapped if i == root else t for i, t in enumerate(lts.terms)]
+    broken = Lts(lts.defs, lts.roots, terms, lts.index, lts.succ, False)
+    assert verify_lts_laws(broken) == [
+        "state %d (b.0 | a.0): not in canonical form" % root
+    ]
+
+
 def test_json_export_shape():
     lts = _graph("a.0")
     doc = to_json(lts)
