@@ -18,12 +18,13 @@ count.  Construction is bounded; hitting the bound is reported in the
 result, not raised, and downstream analyses refuse truncated graphs.
 
 Terms are hash-consed, so one component recurs across many states.
-`build_lts` computes the moves of each once, in a memo that dies
-with the call and so keeps no term alive.  A state is most often a
-canonical composition, and an edge moves one of its components, or
-two that synchronize, while a tick moves each.  So `step` reads each
-component's moves, targets already canonical, from the memo and
-swaps the moved components for their targets' operands, instead of
+`build_lts` computes the moves of each distinct component once, in a
+memo that dies with the call and so keeps no term alive.  `step`
+treats every state as a composition of its components, a term that is
+not a composition being a composition of one: an edge moves one
+component, or two that synchronize, and a tick moves each.  So `step`
+reads each component's moves, targets already canonical, from the memo
+and swaps the moved components for their targets' operands, instead of
 rebuilding and canonicalizing the whole state for every edge.
 """
 
@@ -43,6 +44,7 @@ from .terms import (
     Restrict,
     Sum,
     _flat,
+    _rebuild,
     canonicalize,
     classify,
     compose,
@@ -78,37 +80,33 @@ def step(
 
     The tick successor is present exactly when no tau step is, and is
     unique.  The result is deduplicated and deterministically ordered.
-    A canonical composition is stepped one component at a time
-    (`_compose_moves`); any other term through `_alpha` and a
-    canonicalization of each target.  `memo` holds the moves of both,
-    None for a fresh one; its lists are shared, so none is mutated.
+    p is canonicalized and stepped as a composition of its components,
+    one component when it is not a composition (`_compose_moves`).
+    `memo` maps each component to its moves, None for a fresh one; its
+    lists are shared, so none is mutated.
     """
     if memo is None:
         memo = {}
-    if type(p) is Par and canonicalize(p) is p:
-        moves = _compose_moves(p, defs, memo)
-    else:
-        raw = _alpha(p, defs, memo)
-        if not any(lab is TAU for lab, _ in raw):
-            raw = raw + [(TICK, _tick(p))]
-        moves = [(lab, canonicalize(q)) for lab, q in raw]
+    moves = _compose_moves(canonicalize(p), defs, memo)
     return sorted(
         dict.fromkeys(moves), key=lambda e: (e[0].sort_key(), pretty(e[1]))
     )
 
 
 def _compose_moves(
-    p: Par, defs: DefTable, memo: dict
+    p: Process, defs: DefTable, memo: dict
 ) -> list[tuple[Label, Process]]:
-    """The moves of a canonical composition, targets canonical.
+    """The moves of a canonical term, targets canonical.
 
-    A move swaps the component that moved, or the two that
-    synchronized, for the operands of their targets, and a tick swaps
-    every component; `compose` builds the result.  Equal components
-    are adjacent and move alike, so only the first of a run moves on
-    its own or as the earlier of a pair.
+    The term's components are the operands of its composition, or the
+    term itself.  A move swaps the component that moved, or the two
+    that synchronized, for the operands of their targets, and a tick
+    swaps every component; `compose` builds the result.  Equal
+    components are adjacent and move alike, so only the first of a run
+    moves on its own or as the earlier of a pair.
     """
     parts = _flat(p, Par)
+    last = len(parts) - 1
     comps = [_component(c, defs, memo) for c in parts]
     moves = []
     for i, c in enumerate(parts):
@@ -117,7 +115,7 @@ def _compose_moves(
         head, tail = parts[:i], parts[i + 1 :]
         for lab, new in comps[i][0]:
             moves.append((lab, compose([*head, *new, *tail])))
-            if not lab.is_comm:
+            if i == last or not lab.is_comm:
                 continue
             co = lab.co()
             for j in range(i + 1, len(parts)):
@@ -136,40 +134,35 @@ def _component(c: Process, defs: DefTable, memo: dict) -> tuple[list, list | Non
     """A component's moves and, if it is stable, its tick.
 
     Each target is the operand list of its canonical form.  Stored in
-    `memo` under `(c,)`, apart from `_alpha`'s entry for `c`.
+    `memo` under `c`.
     """
-    entry = memo.get((c,))
+    entry = memo.get(c)
     if entry is None:
-        moves = [
-            (lab, _flat(canonicalize(q), Par)) for lab, q in _alpha(c, defs, memo)
-        ]
+        moves = [(lab, _flat(canonicalize(q), Par)) for lab, q in _alpha(c, defs)]
         stable = not any(lab is TAU for lab, _ in moves)
         tick = _flat(canonicalize(_tick(c)), Par) if stable else None
-        entry = memo[(c,)] = (moves, tick)
+        entry = memo[c] = (moves, tick)
     return entry
 
 
-def _alpha(
-    p: Process, defs: DefTable, memo: dict
-) -> list[tuple[Label, Process]]:
+def _alpha(p: Process, defs: DefTable) -> list[tuple[Label, Process]]:
     """Instantaneous steps: communication, synchronization, unfolding.
 
-    `Sum`, `Restrict`, `Call` and `ElseNext` nodes read and fill
-    `memo`, keyed by the node.  `Nil` and `Prefix` cost no more to
-    compute than to look up.  A `Par` reached here is not a canonical
-    state, which `step` splits into its components, but an operand of
-    another node or a term given to `step` as it is: its moves would
-    be stored for few lookups, so they are not.  Stored lists are
-    shared: no caller may mutate a result.
+    A nest of sums is walked as one list of branches.  The binary `Par`
+    rule serves a composition under another node, and the whole-term
+    reference in the tests; `step` splits a state's own composition
+    into its components.
     """
     match p:
         case Nil():
             return []
         case Prefix(pol, a, k):
             return [(Label(pol, a), k)]
+        case Sum(_, _):
+            return [m for q in _flat(p, Sum) for m in _alpha(q, defs)]
         case Par(l, r):
-            ls = _alpha(l, defs, memo)
-            rs = _alpha(r, defs, memo)
+            ls = _alpha(l, defs)
+            rs = _alpha(r, defs)
             steps = [(lab, Par(l2, r)) for lab, l2 in ls]
             steps += [(lab, Par(l, r2)) for lab, r2 in rs]
             for lab, l2 in ls:
@@ -178,26 +171,15 @@ def _alpha(
                 co = lab.co()
                 steps += [(TAU, Par(l2, r2)) for lab2, r2 in rs if lab2 is co]
             return steps
-    moves = memo.get(p)
-    if moves is not None:
-        return moves
-    match p:
-        case Sum(l, r):
-            moves = _alpha(l, defs, memo) + _alpha(r, defs, memo)
         case Restrict(a, b):
-            moves = [
-                (lab, Restrict(a, b2))
-                for lab, b2 in _alpha(b, defs, memo)
-                if lab.name != a
+            return [
+                (lab, Restrict(a, b2)) for lab, b2 in _alpha(b, defs) if lab.name != a
             ]
         case Call(ident, args):
-            moves = [(TAU, defs.lookup(ident).instance(args))]
+            return [(TAU, defs.lookup(ident).instance(args))]
         case ElseNext(now, _):
-            moves = _alpha(now, defs, memo)
-        case _:
-            raise AssertionError("unreachable node %r" % p)
-    memo[p] = moves
-    return moves
+            return _alpha(now, defs)
+    raise AssertionError("unreachable node %r" % p)
 
 
 def _tick(p: Process) -> Process:
@@ -210,8 +192,8 @@ def _tick(p: Process) -> Process:
     match p:
         case Nil() | Prefix(_, _, _):
             return p
-        case Sum(l, r):
-            return Sum(_tick(l), _tick(r))
+        case Sum(_, _):
+            return _rebuild([_tick(q) for q in _flat(p, Sum)], Sum)
         case Par(l, r):
             return Par(_tick(l), _tick(r))
         case Restrict(a, b):
@@ -348,7 +330,8 @@ def build_lts(
     interrupted; consumers must check the flag.
 
     Each state is expanded by one call of the module's `step`, given
-    one memo of moves for the whole call, dropped when it returns.
+    one memo of component moves for the whole call, dropped when it
+    returns.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -407,8 +390,8 @@ def verify_lts_laws(lts: Lts) -> list[str]:
     calculus without else_next ticks to itself; the term's rule-based
     commitment set (`commitments`) is present exactly on stable states
     and then lists the communications its edges offer; the term is its
-    own canonical form, which `step` relies on to move a composition's
-    components one at a time.  A non-empty report means an engine bug.
+    own canonical form, the identity `build_lts` interns states by.  A
+    non-empty report means an engine bug.
     """
     if lts.truncated:
         raise BoundExceeded("laws are only meaningful on a complete graph")

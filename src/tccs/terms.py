@@ -675,12 +675,15 @@ def compose(parts: list[Process]) -> Process:
 
     No operand may be a composition itself.  Inert operands are
     dropped and the others sorted by printed form, so this is the one
-    place that builds a canonical composition; the result is marked as
-    its own canonical form.
+    place that builds a canonical composition; a new composition is
+    marked as its own canonical form, and a lone operand is returned
+    as it is.
     """
     parts = [q for q in parts if q is not NIL]
+    if len(parts) < 2:
+        return parts[0] if parts else NIL
     parts.sort(key=pretty)
-    c = _rebuild(parts, Par) if parts else NIL
+    c = _rebuild(parts, Par)
     c._canonical = _CANONICAL
     return c
 
@@ -713,8 +716,8 @@ def _is_ccs(p: Process, defs: DefTable, seen: set[str]) -> bool:
             return True
         case Prefix(_, _, k):
             return _is_ccs(k, defs, seen)
-        case Sum(l, r) | Par(l, r):
-            return _is_ccs(l, defs, seen) and _is_ccs(r, defs, seen)
+        case Sum(_, _) | Par(_, _):
+            return all(_is_ccs(q, defs, seen) for q in _flat(p, type(p)))
         case Restrict(_, b):
             return _is_ccs(b, defs, seen)
         case Call(ident, _):
@@ -731,8 +734,8 @@ def _is_sl(p: Process, defs: DefTable, seen: set[str]) -> bool:
     match p:
         case Nil():
             return True
-        case Par(l, r):
-            return _is_sl(l, defs, seen) and _is_sl(r, defs, seen)
+        case Par(_, _):
+            return all(_is_sl(q, defs, seen) for q in _flat(p, Par))
         case Restrict(_, b):
             return _is_sl(b, defs, seen)
         case ElseNext(Prefix("in", _, now), later):

@@ -304,6 +304,40 @@ def test_a_wide_sum_parses_and_prints(tmp_path, capsys):
     assert capsys.readouterr() == (text, "")
 
 
+def test_a_wide_sum_steps_and_checks(tmp_path, capsys):
+    wide = " + ".join(["a.0"] * 3000)
+    f = tmp_path / "wide.tccs"
+    f.write_text(
+        "P = %s;\nQ = %s + b.0;\n" % (wide, " + ".join(["a.0"] * 2999)),
+        encoding="ascii",
+    )
+    assert main(["lts", str(f), "-p", "P", "--bound", "20"]) == 0
+    assert capsys.readouterr() == (
+        "states: 2\n  0: %s  stable, commits {a}\n  1: 0  stable, commits {}\n"
+        "edges:\n  0 -a-> 1\n  0 -tick-> 0\n  1 -tick-> 1\n" % wide,
+        "",
+    )
+    assert main(["check", str(f), "-p", "P", "-q", "Q", "--rel", "conv"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("not related\n") and err == ""
+    assert "s1 -b-> s2 (0), challenged against s0" in out
+
+
+def test_wide_compositions_classify_for_an_untimed_check(tmp_path, capsys):
+    # classify walks both 1500-way compositions before the graph is built
+    f = tmp_path / "wide.tccs"
+    f.write_text(
+        "P = %s;\nQ = %s | b.0;\n"
+        % (" | ".join(["a.0"] * 1500), " | ".join(["a.0"] * 1499)),
+        encoding="ascii",
+    )
+    argv = ["check", str(f), "-p", "P", "-q", "Q", "--rel", "usual-untimed"]
+    assert main(argv + ["--bound", "5"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: state bound 5 exceeded while building the graph\n"
+    )
+
+
 def test_check_bad_mode_is_an_argparse_error(prog, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", prog, "-p", "Z", "-q", "Z", "--rel", "strong"])

@@ -18,8 +18,18 @@ from tccs import (
     verify_lts_laws,
 )
 from tccs.lts import Lts, to_dot, to_json
-from tccs.terms import TAU, TICK, Call, Label, Restrict, canonicalize, inp, out
-from tccs.generate import GenConfig, random_pair, random_term
+from tccs.terms import (
+    TAU,
+    TICK,
+    Call,
+    Label,
+    Process,
+    Restrict,
+    canonicalize,
+    inp,
+    out,
+)
+from tccs.generate import GenConfig, random_pair, random_sl_program, random_term
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -246,7 +256,7 @@ def _reference_step(p, defs, memo=None):
     # every term stepped as a whole: `_alpha` on the term, then each
     # target canonicalized by the oracle, which builds no composition
     # through `compose` and reads no cached canonical form
-    raw = tccs.lts._alpha(p, defs, {})
+    raw = tccs.lts._alpha(p, defs)
     if not any(lab is TAU for lab, _ in raw):
         raw = raw + [(TICK, tccs.lts._tick(p))]
     out = dict.fromkeys((lab, canonical(q)) for lab, q in raw)
@@ -302,6 +312,33 @@ def test_compositions_step_by_component_as_whole_terms_do():
         lts = _assert_component_path_matches([p, q], defs, 10 + seed % 40)
         truncated += lts.truncated
     assert 0 < truncated < 2000
+
+
+def _subterms(p):
+    seen = {p}
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        yield q
+        for f in q.__match_args__:
+            sub = getattr(q, f)
+            if isinstance(sub, Process) and sub not in seen:
+                seen.add(sub)
+                stack.append(sub)
+
+
+def test_step_on_any_term_agrees_with_stepping_it_whole():
+    # `step` canonicalizes first, so also a subterm that is not in
+    # canonical form, such as an unsorted composition, an alpha-variant
+    # or a composition under a sum, steps as the whole-term reference
+    count = 0
+    for seed in range(300):
+        for draw in (random_term, random_sl_program):
+            p, defs = draw(random.Random(seed), GenConfig(depth=4, max_defs=2))
+            for q in _subterms(p):
+                assert step(q, defs) == _reference_step(q, defs)
+                count += canonicalize(q) is not q
+    assert count > 500
 
 
 def test_verify_laws_reports_a_state_not_in_canonical_form():
