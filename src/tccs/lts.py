@@ -148,10 +148,11 @@ def _component(c: Process, defs: DefTable, memo: dict) -> tuple[list, list | Non
 def _alpha(p: Process, defs: DefTable) -> list[tuple[Label, Process]]:
     """Instantaneous steps: communication, synchronization, unfolding.
 
-    A nest of sums is walked as one list of branches.  The binary `Par`
-    rule serves a composition under another node, and the whole-term
-    reference in the tests; `step` splits a state's own composition
-    into its components.
+    A nest of sums is walked as one list of branches, and a nest of
+    compositions as one list of operands: a move replaces one operand,
+    a synchronization two.  The `Par` rule serves a composition under
+    another node, and the whole-term reference in the tests; `step`
+    splits a state's own composition into its components.
     """
     match p:
         case Nil():
@@ -160,16 +161,30 @@ def _alpha(p: Process, defs: DefTable) -> list[tuple[Label, Process]]:
             return [(Label(pol, a), k)]
         case Sum(_, _):
             return [m for q in _flat(p, Sum) for m in _alpha(q, defs)]
-        case Par(l, r):
-            ls = _alpha(l, defs)
-            rs = _alpha(r, defs)
-            steps = [(lab, Par(l2, r)) for lab, l2 in ls]
-            steps += [(lab, Par(l, r2)) for lab, r2 in rs]
-            for lab, l2 in ls:
-                if not lab.is_comm:
-                    continue
-                co = lab.co()
-                steps += [(TAU, Par(l2, r2)) for lab2, r2 in rs if lab2 is co]
+        case Par(_, _):
+            parts = _flat(p, Par)
+            moves = [_alpha(q, defs) for q in parts]
+            # heads[i] nests the operands before i and tails[i] those
+            # after it, so a target shares all but its moved operands
+            heads, tails = [None], [None]
+            for q in parts[:-1]:
+                heads.append(q if heads[-1] is None else Par(heads[-1], q))
+            for q in parts[:0:-1]:
+                tails.append(q if tails[-1] is None else Par(q, tails[-1]))
+            tails.reverse()
+            steps = []
+            for i, ms in enumerate(moves):
+                for lab, q in ms:
+                    steps.append((lab, _nest(heads[i], q, tails[i])))
+                    if not lab.is_comm:
+                        continue
+                    co = lab.co()
+                    for j in range(i + 1, len(parts)):
+                        steps += [
+                            (TAU, _nest(heads[i], q, *parts[i + 1 : j], q2, tails[j]))
+                            for lab2, q2 in moves[j]
+                            if lab2 is co
+                        ]
             return steps
         case Restrict(a, b):
             return [
@@ -180,6 +195,11 @@ def _alpha(p: Process, defs: DefTable) -> list[tuple[Label, Process]]:
         case ElseNext(now, _):
             return _alpha(now, defs)
     raise AssertionError("unreachable node %r" % p)
+
+
+def _nest(*parts: Process | None) -> Process:
+    # the composition of the given operands, skipping None
+    return _rebuild([q for q in parts if q is not None], Par)
 
 
 def _tick(p: Process) -> Process:
@@ -194,8 +214,8 @@ def _tick(p: Process) -> Process:
             return p
         case Sum(_, _):
             return _rebuild([_tick(q) for q in _flat(p, Sum)], Sum)
-        case Par(l, r):
-            return Par(_tick(l), _tick(r))
+        case Par(_, _):
+            return _rebuild([_tick(q) for q in _flat(p, Par)], Par)
         case Restrict(a, b):
             return Restrict(a, _tick(b))
         case ElseNext(_, later):

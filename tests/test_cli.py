@@ -296,6 +296,17 @@ def test_a_wide_composition_steps_and_prints(tmp_path, capsys):
     assert capsys.readouterr() == ("\n".join(want) + "\n", "")
 
 
+def test_a_wide_composition_under_a_restriction_steps(tmp_path, capsys):
+    # the restriction steps its body whole, a nest of 1500 compositions
+    f = tmp_path / "wide.tccs"
+    f.write_text("P = new a. (%s);\n" % " | ".join(["a.0"] * 1500), encoding="ascii")
+    assert main(["lts", str(f), "-p", "P", "--bound", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "internal error" not in out
+    body = " | ".join(["#1.0"] * 1500)
+    assert out == "states: 1\n  0: new #1. (%s)  stable, commits {}\nedges:\n  0 -tick-> 0\n" % body
+
+
 def test_a_wide_sum_parses_and_prints(tmp_path, capsys):
     text = "P = %s;\n" % " + ".join(["a.0"] * 3000)
     f = tmp_path / "wide.tccs"
