@@ -30,15 +30,22 @@ The elimination loop works in rounds.  Each round sweeps the rows of
 the states successors first, so a pair is usually visited after the
 pairs its challenges lead to, and after the first round it re-checks
 only the pairs with a state that has an edge into a row the round
-before changed.  A verdict's `rounds` counts these rounds, including
-the last one, which removes nothing.
+before changed.  `largest_bisimulation` runs it on every pair until a
+round removes nothing.  A check of one pair reads only what that
+pair's verdict needs, in the manner of on-the-fly checking (Fernandez
+and Mounier, CAV 1991): the root pair first, against the starting
+relation; if it survives, the root's closure, the pairs its clauses
+read, transitively, which the loop sweeps until the root falls or a
+round removes nothing.  A verdict's `rounds` counts the rounds until
+then: 1 when the root falls on its first visit, 0 when the filter
+discarded it.
 
-Every relation the loop computes is an equivalence, and its result is
-a partition: one class id per state.  The loop logs eliminations only.
-A negative verdict's certificate is the refutation cone of the queried
-pair: the filtered pairs its refutation reads, recovered from the
-flags, then the removals it reads, transitively, in the order they
-happened.  Replaying them re-eliminates exactly those pairs, and
+Every relation the loop computes on all pairs is an equivalence, and
+its result is a partition: one class id per state.  The loop logs
+eliminations only.  A negative verdict's certificate is the refutation
+cone of the queried pair: the filtered pairs its refutation reads,
+recovered from the flags, then the removals it reads, transitively,
+in the order they happened.  Replaying them re-eliminates exactly those pairs, and
 `explain` prints each of them once, root first.
 
 `falsify_with_context` is the contextual side of the story: a bounded
@@ -249,7 +256,9 @@ def _game(lts: Lts, an, mode: str) -> list[list[tuple]]:
     return table
 
 
-def _eliminate(lts: Lts, an, mode: str) -> tuple[list[int], array, int, list]:
+def _eliminate(
+    lts: Lts, an, mode: str, root: tuple[int, int] | None = None
+) -> tuple[list[int], array, int, list]:
     """Greatest fixed point by successor-first elimination rounds.
 
     Starts from the full relation, or from the partition by the mode's
@@ -265,7 +274,19 @@ def _eliminate(lts: Lts, an, mode: str) -> tuple[list[int], array, int, list]:
     The identity pairs are never visited: every state answers its own
     challenges.
 
-    Returns the fixed point as a partition (`_classes`), the removal
+    Given a `root` pair, the loop decides that pair only.  A root the
+    filter discarded is decided in 0 rounds.  Otherwise the loop visits
+    the root once against the starting relation, and when the root
+    falls there, logs it in round 1 and returns.  Else it cuts the
+    starting relation down to the root's closure (`_closure`), on
+    which the fixed point is the full one's restriction, and sweeps
+    that with the same rule, returning as soon as it removes the root
+    or after a round that removes nothing.  A pair is removed only
+    against a superset of the fixed point, and its challenge's answers
+    were removed before or filtered, so `_cone` reads the log as it
+    reads a full one.
+
+    Returns the row masks of the relation it ends with, the removal
     log, the rounds and the challenge table.  The log holds four ints
     per elimination, in order: challenger, responder, the challenge's
     index in the challenger's row and the round.
@@ -291,6 +312,19 @@ def _eliminate(lts: Lts, an, mode: str) -> tuple[list[int], array, int, list]:
                 return s, t, k
         return None
 
+    if root is not None:
+        s, t = root
+        if not rel[s] >> t & 1:
+            return rel, log, 0, table
+        hit = s != t and (violation(s, t) or violation(t, s))
+        if hit:
+            log.extend(hit)
+            log.append(1)
+            rel[s] &= ~(1 << t)
+            rel[t] &= ~(1 << s)
+            return rel, log, 1, table
+        rel = _closure(table, rel, root)
+
     # hot: the states whose pairs the round re-checks, all of them at
     # first; done: the states whose rows the round has swept
     order, pred = an.sweep
@@ -312,12 +346,44 @@ def _eliminate(lts: Lts, an, mode: str) -> tuple[list[int], array, int, list]:
                     log.append(rounds)
                     rel[s] &= ~(1 << t)
                     rel[t] &= ~(1 << s)
+                    if root is not None and s in root and t in root:
+                        return rel, log, rounds, table
                     dirty |= 1 << s | 1 << t
         if not dirty:
-            return _classes(rel), log, rounds, table
+            return rel, log, rounds, table
         hot = 0
         for r in _bits(dirty):
             hot |= pred[r]
+
+
+def _closure(table: list, rel: list[int], root: tuple[int, int]) -> list[int]:
+    """The pairs of `rel` that the root pair's clauses read,
+    transitively, and the identity pairs, as row masks.
+
+    A pair's clauses read, for each challenge of either state, the
+    challenge's target paired with each weak answer of the other
+    state.  The closure holds every pair of the fixed point that its
+    pairs read, so the fixed point within it is the full fixed point's
+    restriction to it.
+    """
+    reach = [1 << i for i in range(len(rel))]
+    s, t = root
+    stack = []
+    if s != t:
+        reach[s] |= 1 << t
+        reach[t] |= 1 << s
+        stack.append(root)
+    while stack:
+        x, y = stack.pop()
+        for a, b in ((x, y), (y, x)):
+            for _, _, a2, answers in table[a]:
+                new = answers[b] & rel[a2] & ~reach[a2]
+                if new:
+                    reach[a2] |= new
+                    for u in _bits(new):
+                        reach[u] |= 1 << a2
+                        stack.append((a2, u))
+    return reach
 
 
 def _classes(rows: list[int]) -> list[int]:
@@ -374,17 +440,23 @@ def largest_bisimulation(lts: Lts, mode: str) -> Relation:
     """The greatest relation satisfying the mode's clauses."""
     if lts.truncated:
         raise BoundExceeded("equivalence checking needs the full graph")
-    return Relation(mode, tuple(_eliminate(lts, analysis(lts), mode)[0]))
+    rows = _eliminate(lts, analysis(lts), mode)[0]
+    return Relation(mode, tuple(_classes(rows)))
 
 
 def check_states(lts: Lts, s: int, t: int, mode: str) -> EquivVerdict:
-    """Decide one state pair on a prebuilt graph.  The certificate is
-    the pair's refutation cone, empty when the verdict is positive."""
+    """Decide one state pair on a prebuilt graph.
+
+    Only the pairs the root pair's clauses read are decided: the root
+    first, against the starting relation, then the root's closure,
+    until the root falls or the closure is stable.  The certificate is
+    the pair's refutation cone, empty when the verdict is positive.
+    """
     if lts.truncated:
         raise BoundExceeded("equivalence checking needs the full graph")
     an = analysis(lts)
-    block, log, rounds, table = _eliminate(lts, an, mode)
-    related = block[s] == block[t]
+    rel, log, rounds, table = _eliminate(lts, an, mode, (s, t))
+    related = bool(rel[s] >> t & 1)
     cert = [] if related else _cone(log, table, (s, t), an, mode)
     return EquivVerdict(related, mode, (s, t), rounds, cert, None, lts)
 

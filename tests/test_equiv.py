@@ -11,6 +11,7 @@ import tccs.equiv
 from oracles import CONV_CCS, Oracle
 from tccs import (
     BoundExceeded,
+    analysis,
     build_lts,
     check,
     check_ccs_equivalently,
@@ -22,10 +23,14 @@ from tccs import (
     parse_proc,
     weak,
 )
-from tccs.equiv import CONV, CONV_DIV, MODES, USUAL, USUAL_UNTIMED, _classes
+from tccs.equiv import (
+    CONV, CONV_DIV, MODES, USUAL, USUAL_UNTIMED, _classes, _cone, _eliminate
+)
 from tccs.generate import GenConfig, random_pair, related_pair
 from tccs.lts import Lts
-from tccs.terms import NIL, TAU, TICK, DefTable, Prefix, canonicalize, inp
+from tccs.terms import (
+    NIL, TAU, TICK, DefTable, Label, Prefix, canonicalize, inp
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -288,7 +293,8 @@ def test_a_self_loop_rechecks_its_own_row():
     # (2, 1) before it removes (2, 3).  Then only the self-loop
     # 2 -a-> 2 reads the changed row 2 on behalf of (2, 1), whose
     # answers 1 =a=> 5 and 1 =a=> 3 are both gone: state 2 must count
-    # among its own predecessors, or (2, 1) survives.
+    # among its own predecessors, or (2, 1) survives.  The check stops
+    # in round 3, where the root falls.
     a, b = inp("a"), inp("b")
     lts = _graph(6, [
         (1, a, 5), (2, a, 2), (2, a, 5), (3, a, 2), (5, b, 4), (5, TAU, 3),
@@ -296,8 +302,89 @@ def test_a_self_loop_rechecks_its_own_row():
     assert set(largest_bisimulation(lts, USUAL).pairs) == Oracle(lts).gfp(USUAL)
     v = check_states(lts, 2, 1, USUAL)
     assert not v.related
-    assert v.rounds == 4
+    assert v.rounds == 3
     assert (2, 1) not in _replay(v, lts, USUAL)
+
+
+# ---------------------------------------------------------------------------
+# deciding one pair
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_check_states_agrees_with_the_full_relation(seed):
+    # the roots and a few other pairs, each decided on its own closure
+    rng = random.Random(seed)
+    timed = random_pair(rng, GenConfig(depth=3, max_defs=2))
+    untimed = random_pair(
+        rng, GenConfig(depth=3, max_defs=2, allow_else=False)
+    )
+    for (p, q, defs), modes in (
+        (timed, (USUAL, CONV, CONV_DIV)),
+        (untimed, MODES + (CONV_CCS,)),
+    ):
+        lts = build_lts([p, q], defs, bound=120)
+        if lts.truncated:
+            continue
+        orc = Oracle(lts)
+        an = analysis(lts)
+        n = len(lts)
+        pairs = [lts.roots]
+        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
+        for mode in modes:
+            gfp = orc.gfp(mode)
+            full = largest_bisimulation(lts, mode)
+            _, log, _, table = _eliminate(lts, an, mode)
+            start = {
+                s: {t for t in range(n) if orc.admissible(mode, s, t)}
+                for s in range(n)
+            }
+            for s, t in pairs:
+                v = check_states(lts, s, t, mode)
+                assert v.related == ((s, t) in full) == ((s, t) in gfp)
+                if v.related:
+                    assert v.certificate == []
+                    continue
+                assert (s, t) not in _replay(v, lts, mode)
+                assert _reached_from_the_root(v) == len(v.certificate)
+                first = orc.respects(mode, s, t, start) and orc.respects(
+                    mode, t, s, start
+                )
+                if first and v.certificate[-1].round == 1:
+                    # The root survived its first visit and fell in the
+                    # first sweep, which meets the closure's pairs in
+                    # the full sweep's order, each against the same
+                    # rows: the same removals, so the same cone.  A
+                    # later round can visit a pair later than the full
+                    # loop does, whose other removals make more pairs
+                    # hot.
+                    assert v.certificate == _cone(log, table, (s, t), an, mode)
+
+
+def _ring(k):
+    ns = "abcdefgh"[:k]
+    cyclers = " | ".join(
+        "Cyc(%s, %s)" % (ns[i], ns[(i + 1) % k]) for i in range(k)
+    )
+    return "Cyc(x, y) = x.tau.'y.Cyc(x, y);\nR = %s | '%s.0;\n" % (
+        cyclers, ns[0]
+    )
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_a_ring_root_falls_on_its_first_visit(k):
+    # State 0 offers the token 'a and state 1 is the ring without it,
+    # which can never output a: the root falls against the full
+    # relation before any other pair is visited.
+    res = parse(_ring(k))
+    lts = build_lts([res.process("R")], res.defs)
+    assert len(lts) == 2 * 4**k
+    for mode in (USUAL, CONV):
+        v = check_states(lts, 0, 1, mode)
+        assert not v.related
+        assert v.rounds == 1
+        assert len(v.certificate) == 1
+        assert v.certificate[0].challenge == (0, Label("out", "a"), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +589,32 @@ def test_filtered_pairs_below_the_root_open_the_certificate():
     assert _entries(v) == [
         ((2, 3), "converge", None, 0),
         ((2, 4), "converge", None, 0),
+        ((0, 1), "lab", (0, "a", 2), 1),
+    ]
+    assert v.roots not in _replay(v, v.lts, v.mode)
+
+
+def test_a_filtered_pair_stays_out_of_the_roots_closure():
+    # The root survives its first visit and its closure reaches the
+    # filtered pair of 0 and a diverging (or stuck) state, which the
+    # game alone would relate; the closure must leave it out.
+    res = parse("D() = tau.D() + tau.0;\nP = a.b.0;\nQ = a.b.D();\n")
+    p, q = res.process("P"), res.process("Q")
+    assert check(p, q, CONV, res.defs).related
+    v = check(p, q, CONV_DIV, res.defs)
+    assert _entries(v) == [
+        ((4, 5), "diverge", None, 0),
+        ((3, 2), "lab", (3, "b", 5), 1),
+        ((0, 1), "lab", (0, "a", 2), 1),
+    ]
+    assert v.roots not in _replay(v, v.lts, v.mode)
+
+    res = parse("P = a.b.0;\nR = a.b.Omega;\n")
+    v = check_ccs_equivalently(res.process("P"), res.process("R"), res.defs)
+    assert _entries(v) == [
+        ((4, 5), "converge", None, 0),
+        ((4, 6), "converge", None, 0),
+        ((2, 3), "lab", (2, "b", 4), 1),
         ((0, 1), "lab", (0, "a", 2), 1),
     ]
     assert v.roots not in _replay(v, v.lts, v.mode)

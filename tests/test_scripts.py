@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST = "71cbce58934d4023180b9962ccb6e0191bfd9309808c57f0724fb5d03073d8c1"
+DIGEST = "8c681e08c822e96e44808e3503532c5dd9808a7bc5ebdae6408ad500554dc27d"
 
 
 @pytest.mark.parametrize("script", ["survey_laws.py", "survey_modes.py"])
