@@ -45,8 +45,8 @@ its result is a partition: one class id per state.  The loop logs
 eliminations only.  A negative verdict's certificate is the refutation
 cone of the queried pair: the filtered pairs its refutation reads,
 recovered from the flags, then the removals it reads, transitively,
-in the order they happened.  Replaying them re-eliminates exactly those pairs, and
-`explain` prints each of them once, root first.
+in the order they happened.  Replaying them re-eliminates exactly
+those pairs, and `explain` prints each of them once, root first.
 
 `falsify_with_context` is the contextual side of the story: a bounded
 enumeration of static contexts over a fixed tester family.  It only
@@ -274,17 +274,13 @@ def _eliminate(
     The identity pairs are never visited: every state answers its own
     challenges.
 
-    Given a `root` pair, the loop decides that pair only.  A root the
-    filter discarded is decided in 0 rounds.  Otherwise the loop visits
-    the root once against the starting relation, and when the root
-    falls there, logs it in round 1 and returns.  Else it cuts the
-    starting relation down to the root's closure (`_closure`), on
-    which the fixed point is the full one's restriction, and sweeps
-    that with the same rule, returning as soon as it removes the root
-    or after a round that removes nothing.  A pair is removed only
-    against a superset of the fixed point, and its challenge's answers
-    were removed before or filtered, so `_cone` reads the log as it
-    reads a full one.
+    Given a `root` pair, the loop decides that pair only: a root the
+    filter discarded in 0 rounds; else it visits the root once against
+    the starting relation, and if the root falls, logs it in round 1
+    and returns.  Otherwise it sweeps the root's `_closure` alone and
+    returns as soon as it removes the root.  Each removal is made
+    against a superset of the fixed point, its challenge's answers
+    removed before or filtered, so `_cone` reads this log as a full one.
 
     Returns the row masks of the relation it ends with, the removal
     log, the rounds and the challenge table.  The log holds four ints

@@ -620,16 +620,10 @@ def test_a_filtered_pair_stays_out_of_the_roots_closure():
     assert v.roots not in _replay(v, v.lts, v.mode)
 
 
-RING = """\
-Cyc(x, y) = x.tau.'y.Cyc(x, y);
-R = Cyc(a, b) | Cyc(b, c) | Cyc(c, a) | 'a.0;
-"""
-
-
 def test_explain_prints_each_entry_once():
     # A tree rendering repeats shared entries: it printed 40 229 lines
     # at depth 4 on this ring.
-    res = parse(RING)
+    res = parse(_ring(3))
     lts = build_lts([res.process("R")], res.defs)
     v = check_states(lts, 0, 1, USUAL)
     assert not v.related
