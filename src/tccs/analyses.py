@@ -19,18 +19,19 @@ any sequence of steps, must be free of divergence, so every instant is
 guaranteed to end.
 
 All predicates are exact on an untruncated graph.  Each edge set is
-condensed once, and each state gets the bitmask of the states it
-reaches, itself included (`_reach`): once over the tau edges, which is
+condensed once, and one fold over a condensation (`_fold`) ORs a seed
+over the states each state reaches, itself included.  Seeded with the
+states' own bits it gives the reach: once over the tau edges, which is
 the tau closure, and once over all edges.  Every predicate is then one
 mask test: may_converge meets the settled states with the tau reach,
 may_diverge meets the states on a tau cycle with it, barbs unions the
 commitments of the settled states in it, ctx_converge meets the settled
 states with the reach over all edges, and reactive keeps that reach
 clear of the diverging states.  The equivalence checkers respond with
-the tau closure, and build the weak transitions under the other labels
-from it on first use, one label at a time; they eliminate in the
-emission order of the condensation of all edges, with each state's
-predecessors.
+the tau closure, and with each other label's weak transitions, the tau
+fold seeded with the closures of the label's targets, on first use;
+they eliminate in the emission order of the condensation of all edges,
+with each state's predecessors.
 
 ctx_converge needs no tick filter: a state gets a tick edge only when
 it has no tau edge, so every tick edge leaves a stable state, and a
@@ -78,8 +79,8 @@ class Analysis:
     only.  `sweep` is the elimination order of the equivalence
     checkers, the states successors first, and `pred`, where `pred[j]`
     is the bitmask of the states with an edge, of any label, into j.
-    Weak transition masks under labels other than tau are memoized per
-    label by `weak_masks`.
+    `weak_masks` folds each other label's weak transition masks over
+    the kept tau condensation, memoized per label.
     """
 
     __slots__ = (
@@ -92,25 +93,28 @@ class Analysis:
         "reactive",
         "tau_closure",
         "sweep",
+        "_tau",
         "_weak",
     )
 
     def __init__(self, lts: Lts) -> None:
         if lts.truncated:
             raise BoundExceeded("analysis needs the full graph")
-        # Keep two lists, not the graph: the graph holds this record in
-        # `_analysis`, and a cycle would keep a dead graph and its terms
-        # alive until the cyclic collector runs.
+        # Keep the edge and condensation lists, not the graph: the graph
+        # holds this record in `_analysis`, and a cycle would keep a dead
+        # graph and its terms alive until the cyclic collector runs.
         self.succ = lts.succ
         self.stable = stable = lts.stable
         self._weak: dict[Label, list[int]] = {}
         settled = sum(1 << v for v, st in enumerate(stable) if st)
+        bits = [1 << v for v in range(len(stable))]
 
         tau_succ = [
             [j for lab, j in out if lab.kind == "tau"] for out in lts.succ
         ]
-        reach, comps = _reach(tau_succ)
-        self.tau_closure = reach
+        comp, comps = _sccs(tau_succ)
+        self._tau = (tau_succ, comp, comps)
+        self.tau_closure = reach = _fold(tau_succ, comp, comps, bits)
         looping = 0
         for members in comps:
             v = members[0]
@@ -132,7 +136,8 @@ class Analysis:
         self.barbs = barbs
 
         all_succ = [[j for _, j in out] for out in lts.succ]
-        reach, comps = _reach(all_succ)
+        comp, comps = _sccs(all_succ)
+        reach = _fold(all_succ, comp, comps, bits)
         diverging = sum(1 << v for v, d in enumerate(div) if d)
         self.ctx_converge = [bool(m & settled) for m in reach]
         self.reactive = [not m & diverging for m in reach]
@@ -146,7 +151,9 @@ class Analysis:
         """Per-state bitmask of weak successors under `lab`.
 
         For tau this is the tau closure; for any other label it is tau
-        closure, one strong step with the label, then tau closure again.
+        closure, one strong step with the label, then tau closure again:
+        the tau fold seeded with the closures of each state's
+        `lab`-successors.
         """
         if lab.kind == "tau":
             return self.tau_closure
@@ -156,20 +163,9 @@ class Analysis:
             pre = [0] * len(tclo)
             for j, out in enumerate(self.succ):
                 for l2, k in out:
-                    if l2 == lab:
+                    if l2 is lab:
                         pre[j] |= tclo[k]
-            # the bits of each closure are walked inline, not with
-            # `_bits`: this is the weak saturation's inner loop, and
-            # the generator made it 1.3-1.7x slower
-            masks = []
-            for rest in tclo:
-                m = 0
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    m |= pre[low.bit_length() - 1]
-                masks.append(m)
-            self._weak[lab] = masks
+            masks = self._weak[lab] = _fold(*self._tau, pre)
         return masks
 
     def facts(self, i: int) -> StateFacts:
@@ -191,29 +187,32 @@ def _bits(mask: int):
         yield low.bit_length() - 1
 
 
-def _reach(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Each state's reachability mask under an edge set, itself
-    included, and the edge set's components in emission order.
+def _fold(
+    succ: list[list[int]],
+    comp: list[int],
+    comps: list[list[int]],
+    seed: list[int],
+) -> list[int]:
+    """Each state's OR of `seed` over the states it reaches under an
+    edge set, itself included.
 
-    One forward sweep over the components: every component is emitted
-    after the components it can reach, so their masks are complete by
-    the time it ORs them in.
+    `comp` and `comps` are the edge set's condensation (`_sccs`).  One
+    forward sweep over the components: every component is emitted after
+    the components it can reach, so their values are complete by the
+    time it ORs them in with its members' seeds.
     """
-    comp, comps = _sccs(len(succ), succ)
-    reach = [0] * len(comps)
+    done = [0] * len(comps)
     for c, members in enumerate(comps):
         m = 0
         for v in members:
-            m |= 1 << v
+            m |= seed[v]
             for w in succ[v]:
-                m |= reach[comp[w]]
-        reach[c] = m
-    return [reach[c] for c in comp], comps
+                m |= done[comp[w]]
+        done[c] = m
+    return [done[c] for c in comp]
 
 
-def _sccs(
-    n: int, succ: list[list[int]]
-) -> tuple[list[int], list[list[int]]]:
+def _sccs(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """Strongly connected components of a graph, iteratively.
 
     `succ[v]` lists the successors of state v in the edge set being
@@ -223,6 +222,7 @@ def _sccs(
     lists in emission order, which places every component after all
     components reachable from it.
     """
+    n = len(succ)
     num = [-1] * n
     low = [0] * n
     on = [False] * n

@@ -231,9 +231,6 @@ def _cmd_step(args) -> int:
     while True:
         moves = step(cur, res.defs)
         print("instant %d: %s" % (instant, pretty(cur)))
-        if not moves:
-            print("no transitions")
-            return EXIT_OK
         for i, (lab, target) in enumerate(moves):
             print("  %d) %s -> %s" % (i, lab, pretty(target)))
         try:

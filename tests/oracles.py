@@ -248,6 +248,37 @@ def small_terms(
     return [t for layer in by_size for t in layer]
 
 
+def hand_built(n: int, edges) -> Lts:
+    """A graph over n states with the given (source, label, target)
+    edges and no terms behind them, rooted at state 0."""
+    terms = [Prefix("out", "s%d" % i, NIL) for i in range(n)]
+    succ: list[list[tuple[Label, int]]] = [[] for _ in range(n)]
+    for i, lab, j in edges:
+        succ[i].append((lab, j))
+    return Lts(
+        DefTable(), (0,), terms, {t: i for i, t in enumerate(terms)},
+        [tuple(out) for out in succ], False,
+    )
+
+
+def ring_program(k: int) -> str:
+    """The benchmark's ring, process `R`: k cyclers
+    `Cyc(x, y) = x.tau.'y.Cyc(x, y)` linked in a cycle over the names
+    a, b, ..., beside a token `'a.0`.
+
+    Its graph has 2 * 4**k states.  The cyclers' synchronizations pass
+    the token round in tau cycles, so most states lie in large tau
+    components: 96 states in the largest for k = 4.
+    """
+    ns = "abcdefgh"[:k]
+    cyclers = " | ".join(
+        "Cyc(%s, %s)" % (ns[i], ns[(i + 1) % k]) for i in range(k)
+    )
+    return "Cyc(x, y) = x.tau.'y.Cyc(x, y);\nR = %s | '%s.0;\n" % (
+        cyclers, ns[0]
+    )
+
+
 def canonical(p: Process) -> Process:
     """The canonical form of p, recomputed from the root with no cache.
 

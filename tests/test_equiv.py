@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tccs.equiv
-from oracles import CONV_CCS, Oracle
+from oracles import CONV_CCS, Oracle, hand_built, ring_program
 from tccs import (
     BoundExceeded,
     analysis,
@@ -27,10 +27,7 @@ from tccs.equiv import (
     CONV, CONV_DIV, MODES, USUAL, USUAL_UNTIMED, _classes, _cone, _eliminate
 )
 from tccs.generate import GenConfig, random_pair, related_pair
-from tccs.lts import Lts
-from tccs.terms import (
-    NIL, TAU, TICK, DefTable, Label, Prefix, canonicalize, inp
-)
+from tccs.terms import TAU, TICK, Label, canonicalize, inp
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -276,18 +273,6 @@ def test_relations_are_equivalences(seed):
                 assert rows[j] <= rows[i]
 
 
-def _graph(n, edges):
-    """A hand-built graph over n stable states with the given edges."""
-    terms = [Prefix("out", "s%d" % i, NIL) for i in range(n)]
-    succ = [[] for _ in range(n)]
-    for i, lab, j in edges:
-        succ[i].append((lab, j))
-    return Lts(
-        DefTable(), (1, 2), terms, {t: i for i, t in enumerate(terms)},
-        [tuple(out) for out in succ], False,
-    )
-
-
 def test_a_self_loop_rechecks_its_own_row():
     # Rows go 0, 4, 2, 3, 5, 1.  Round 1 removes (2, 5); round 2 visits
     # (2, 1) before it removes (2, 3).  Then only the self-loop
@@ -296,7 +281,7 @@ def test_a_self_loop_rechecks_its_own_row():
     # among its own predecessors, or (2, 1) survives.  The check stops
     # in round 3, where the root falls.
     a, b = inp("a"), inp("b")
-    lts = _graph(6, [
+    lts = hand_built(6, [
         (1, a, 5), (2, a, 2), (2, a, 5), (3, a, 2), (5, b, 4), (5, TAU, 3),
     ])
     assert set(largest_bisimulation(lts, USUAL).pairs) == Oracle(lts).gfp(USUAL)
@@ -361,22 +346,12 @@ def test_check_states_agrees_with_the_full_relation(seed):
                     assert v.certificate == _cone(log, table, (s, t), an, mode)
 
 
-def _ring(k):
-    ns = "abcdefgh"[:k]
-    cyclers = " | ".join(
-        "Cyc(%s, %s)" % (ns[i], ns[(i + 1) % k]) for i in range(k)
-    )
-    return "Cyc(x, y) = x.tau.'y.Cyc(x, y);\nR = %s | '%s.0;\n" % (
-        cyclers, ns[0]
-    )
-
-
-@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("k", [3, 4, 5])
 def test_a_ring_root_falls_on_its_first_visit(k):
     # State 0 offers the token 'a and state 1 is the ring without it,
     # which can never output a: the root falls against the full
     # relation before any other pair is visited.
-    res = parse(_ring(k))
+    res = parse(ring_program(k))
     lts = build_lts([res.process("R")], res.defs)
     assert len(lts) == 2 * 4**k
     for mode in (USUAL, CONV):
@@ -623,7 +598,7 @@ def test_a_filtered_pair_stays_out_of_the_roots_closure():
 def test_explain_prints_each_entry_once():
     # A tree rendering repeats shared entries: it printed 40 229 lines
     # at depth 4 on this ring.
-    res = parse(_ring(3))
+    res = parse(ring_program(3))
     lts = build_lts([res.process("R")], res.defs)
     v = check_states(lts, 0, 1, USUAL)
     assert not v.related

@@ -6,7 +6,7 @@ import pytest
 import tccs.lts
 from hypothesis import given, settings, strategies as st
 
-from oracles import canonical
+from oracles import canonical, ring_program
 from tccs import (
     DefTable,
     build_lts,
@@ -274,18 +274,12 @@ def _assert_component_path_matches(roots, defs, bound):
     return lts
 
 
-def _ring(k):
-    ns = "abcdefgh"[:k]
-    cyclers = " | ".join("Cyc(%s, %s)" % (ns[i], ns[(i + 1) % k]) for i in range(k))
-    res = parse("Cyc(x, y) = x.tau.'y.Cyc(x, y);\nR = %s | '%s.0;\n" % (cyclers, ns[0]))
-    return res.process("R"), res.defs
-
-
 def test_compositions_step_by_component_as_whole_terms_do():
     # graphs, edge order and canonical states equal those of stepping
     # every state as a whole term
     for k in (3, 4):
-        p, defs = _ring(k)
+        res = parse(ring_program(k))
+        p, defs = res.process("R"), res.defs
         assert len(_assert_component_path_matches([p], defs, 10000)) == 2 * 4**k
     # equal components move alike and synchronize with each other
     for src in (
