@@ -53,6 +53,7 @@ __all__ = [
     "analysis",
     "may_converge",
     "facts",
+    "fact_items",
     "facts_line",
 ]
 
@@ -290,19 +291,30 @@ def facts(lts: Lts, s: int) -> StateFacts:
     return analysis(lts).facts(s)
 
 
-def facts_line(lts: Lts, s: int) -> str:
-    """One-line summary of a state's facts, as printed by the CLI."""
+def fact_items(lts: Lts, s: int) -> list[tuple[str, object]]:
+    """A state's facts as (name, value) pairs, in printed order.
+
+    The one table of fact names: `facts_line` and `tccs analyze
+    --format json` both read it.  Every value is a bool but the barbs,
+    a list of labels in label order.
+    """
     f = facts(lts, s)
-    flags = [
+    return [
         ("stable", f.stable),
         ("converge", f.may_converge),
         ("ctxconv", f.ctx_converge),
         ("diverge", f.may_diverge),
         ("reactive", f.reactive_root),
+        ("barbs", sorted(f.barbs, key=Label.sort_key)),
     ]
-    parts = ["%s=%s" % (k, "true" if v else "false") for k, v in flags]
-    parts.append("barbs=" + _label_set(f.barbs))
-    return " ".join(parts)
+
+
+def facts_line(lts: Lts, s: int) -> str:
+    """One-line summary of a state's facts, as printed by the CLI."""
+    return " ".join(
+        "%s=%s" % (name, _label_set(v) if type(v) is list else str(v).lower())
+        for name, v in fact_items(lts, s)
+    )
 
 
 def _label_set(labels) -> str:

@@ -17,12 +17,12 @@ import argparse
 import json
 import sys
 
-from .analyses import _label_set, facts, facts_line
+from .analyses import _label_set, fact_items, facts_line
 from .corpus import run_suite
 from .equiv import MODES, UntimedRefusal, check, explain, falsify_with_context
 from .lts import BoundExceeded, Lts, build_lts, step, to_dot, to_json
 from .parser import ParseError, ParseResult, parse
-from .terms import Label, Process, pretty, pretty_context
+from .terms import Process, pretty, pretty_context
 
 __all__ = ["main"]
 
@@ -174,19 +174,14 @@ def _cmd_analyze(args) -> int:
     res = _read_program(args.file)
     lts = _build(res, args.p, args.bound)
     if lts.truncated:
-        print("state bound %d exceeded" % args.bound, file=sys.stderr)
-        return EXIT_BOUND
+        raise BoundExceeded(
+            "state bound %d exceeded while building the graph" % args.bound
+        )
     root = lts.roots[0]
     if args.format == "json":
-        f = facts(lts, root)
         print(json.dumps({
-            "stable": f.stable,
-            "converge": f.may_converge,
-            "ctxconv": f.ctx_converge,
-            "diverge": f.may_diverge,
-            "reactive": f.reactive_root,
-            "barbs": [str(lab) for lab in
-                      sorted(f.barbs, key=Label.sort_key)],
+            name: value if type(value) is bool else list(map(str, value))
+            for name, value in fact_items(lts, root)
         }))
     else:
         print(facts_line(lts, root))

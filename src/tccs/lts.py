@@ -25,7 +25,11 @@ not a composition being a composition of one: an edge moves one
 component, or two that synchronize, and a tick moves each.  So `step`
 reads each component's moves, targets already canonical, from the memo
 and swaps the moved components for their targets' operands, instead of
-rebuilding and canonicalizing the whole state for every edge.
+rebuilding and canonicalizing the whole state for every edge.  A
+composition under a restriction, sum or else_next, as in every encoded
+tau.P, is stepped by the same rule from the same memo, so there is one
+composition rule.  The tests check it against an independent reference
+that steps every term whole by the binary rules (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -81,13 +85,19 @@ def step(
     The tick successor is present exactly when no tau step is, and is
     unique.  The result is deduplicated and deterministically ordered.
     p is canonicalized and stepped as a composition of its components,
-    one component when it is not a composition (`_compose_moves`).
-    `memo` maps each component to its moves, None for a fresh one; its
-    lists are shared, so none is mutated.
+    one component when it is not a composition (`_compose_moves`); the
+    tick composes the components' ticks.  `memo` maps each component
+    to its moves, None for a fresh one; its lists are shared, so none
+    is mutated.
     """
     if memo is None:
         memo = {}
-    moves = _compose_moves(canonicalize(p), defs, memo)
+    p = canonicalize(p)
+    moves = _compose_moves(p, defs, memo)
+    if not any(lab is TAU for lab, _ in moves):
+        # no tau, so every component is stable and has its tick
+        ticks = [q for c in _flat(p, Par) for q in memo[c][1]]
+        moves.append((TICK, compose(ticks)))
     return sorted(
         dict.fromkeys(moves), key=lambda e: (e[0].sort_key(), pretty(e[1]))
     )
@@ -96,24 +106,25 @@ def step(
 def _compose_moves(
     p: Process, defs: DefTable, memo: dict
 ) -> list[tuple[Label, Process]]:
-    """The moves of a canonical term, targets canonical.
+    """The instantaneous moves of a canonical term, targets canonical.
 
-    The term's components are the operands of its composition, or the
-    term itself.  A move swaps the component that moved, or the two
-    that synchronized, for the operands of their targets, and a tick
-    swaps every component; `compose` builds the result.  Equal
-    components are adjacent and move alike, so only the first of a run
-    moves on its own or as the earlier of a pair.
+    The one composition rule, for a state and for a composition nested
+    under another node alike.  The term's components are the operands
+    of its composition, or the term itself.  A move swaps the component
+    that moved, or the two that synchronized, for the operands of their
+    targets; `compose` builds the result.  Equal components are
+    adjacent and move alike, so only the first of a run moves on its
+    own or as the earlier of a pair.
     """
     parts = _flat(p, Par)
     last = len(parts) - 1
-    comps = [_component(c, defs, memo) for c in parts]
+    comps = [_component(c, defs, memo)[0] for c in parts]
     moves = []
     for i, c in enumerate(parts):
         if i and c is parts[i - 1]:
             continue
         head, tail = parts[:i], parts[i + 1 :]
-        for lab, new in comps[i][0]:
+        for lab, new in comps[i]:
             moves.append((lab, compose([*head, *new, *tail])))
             if i == last or not lab.is_comm:
                 continue
@@ -121,12 +132,10 @@ def _compose_moves(
             for j in range(i + 1, len(parts)):
                 if j > i + 1 and parts[j] is parts[j - 1]:
                     continue
-                for lab2, new2 in comps[j][0]:
+                for lab2, new2 in comps[j]:
                     if lab2 is co:
                         pair = [*head, *new, *parts[i + 1 : j], *new2]
                         moves.append((TAU, compose(pair + parts[j + 1 :])))
-    if not any(lab is TAU for lab, _ in moves):
-        moves.append((TICK, compose([q for _, tick in comps for q in tick])))
     return moves
 
 
@@ -138,21 +147,22 @@ def _component(c: Process, defs: DefTable, memo: dict) -> tuple[list, list | Non
     """
     entry = memo.get(c)
     if entry is None:
-        moves = [(lab, _flat(canonicalize(q), Par)) for lab, q in _alpha(c, defs)]
+        moves = [
+            (lab, _flat(canonicalize(q), Par)) for lab, q in _alpha(c, defs, memo)
+        ]
         stable = not any(lab is TAU for lab, _ in moves)
         tick = _flat(canonicalize(_tick(c)), Par) if stable else None
         entry = memo[c] = (moves, tick)
     return entry
 
 
-def _alpha(p: Process, defs: DefTable) -> list[tuple[Label, Process]]:
+def _alpha(p: Process, defs: DefTable, memo: dict) -> list[tuple[Label, Process]]:
     """Instantaneous steps: communication, synchronization, unfolding.
 
-    A nest of sums is walked as one list of branches, and a nest of
-    compositions as one list of operands: a move replaces one operand,
-    a synchronization two.  The `Par` rule serves a composition under
-    another node, and the whole-term reference in the tests; `step`
-    splits a state's own composition into its components.
+    p is canonical: a component of a canonical state, or a branch, body
+    or current branch of one.  A nest of sums is walked as one list of
+    branches.  A composition, here always one under another node, is
+    stepped by `_compose_moves` from the components' moves in `memo`.
     """
     match p:
         case Nil():
@@ -160,46 +170,20 @@ def _alpha(p: Process, defs: DefTable) -> list[tuple[Label, Process]]:
         case Prefix(pol, a, k):
             return [(Label(pol, a), k)]
         case Sum(_, _):
-            return [m for q in _flat(p, Sum) for m in _alpha(q, defs)]
+            return [m for q in _flat(p, Sum) for m in _alpha(q, defs, memo)]
         case Par(_, _):
-            parts = _flat(p, Par)
-            moves = [_alpha(q, defs) for q in parts]
-            # heads[i] nests the operands before i and tails[i] those
-            # after it, so a target shares all but its moved operands
-            heads, tails = [None], [None]
-            for q in parts[:-1]:
-                heads.append(q if heads[-1] is None else Par(heads[-1], q))
-            for q in parts[:0:-1]:
-                tails.append(q if tails[-1] is None else Par(q, tails[-1]))
-            tails.reverse()
-            steps = []
-            for i, ms in enumerate(moves):
-                for lab, q in ms:
-                    steps.append((lab, _nest(heads[i], q, tails[i])))
-                    if not lab.is_comm:
-                        continue
-                    co = lab.co()
-                    for j in range(i + 1, len(parts)):
-                        steps += [
-                            (TAU, _nest(heads[i], q, *parts[i + 1 : j], q2, tails[j]))
-                            for lab2, q2 in moves[j]
-                            if lab2 is co
-                        ]
-            return steps
+            return _compose_moves(p, defs, memo)
         case Restrict(a, b):
             return [
-                (lab, Restrict(a, b2)) for lab, b2 in _alpha(b, defs) if lab.name != a
+                (lab, Restrict(a, b2))
+                for lab, b2 in _alpha(b, defs, memo)
+                if lab.name != a
             ]
         case Call(ident, args):
             return [(TAU, defs.lookup(ident).instance(args))]
         case ElseNext(now, _):
-            return _alpha(now, defs)
+            return _alpha(now, defs, memo)
     raise AssertionError("unreachable node %r" % p)
-
-
-def _nest(*parts: Process | None) -> Process:
-    # the composition of the given operands, skipping None
-    return _rebuild([q for q in parts if q is not None], Par)
 
 
 def _tick(p: Process) -> Process:

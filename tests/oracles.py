@@ -4,7 +4,10 @@ Everything here is written with plain sets and breadth-first loops, on
 purpose: slower and more literal than the shipped algorithms, so that a
 bug would have to be made twice, in two different styles, to go
 unnoticed.  Nothing in this module imports from tccs.analyses or
-tccs.equiv.
+tccs.equiv.  `whole_step` is the reference for `tccs.lts.step`: the
+engine has one composition rule, stepping every composition by its
+components from a memo, and the reference steps every term whole by
+the binary rules of the calculus, sharing no code with it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from tccs.terms import (
     ensure_builtins,
     make_tau,
     pretty,
+    substitute,
 )
 
 USUAL = "usual"
@@ -277,6 +281,71 @@ def ring_program(k: int) -> str:
     return "Cyc(x, y) = x.tau.'y.Cyc(x, y);\nR = %s | '%s.0;\n" % (
         cyclers, ns[0]
     )
+
+
+def whole_step(p: Process, defs: DefTable) -> list[tuple[Label, Process]]:
+    """All strong transitions of p, as `tccs.lts.step` orders them.
+
+    The rules of the calculus applied to the whole term, one binary
+    node at a time: a composition moves one side or synchronizes the
+    two, a call unfolds by `substitute`, and the tick, present when no
+    tau step is, lets time pass in every branch.  Targets go through
+    `canonical`.
+    """
+    raw = _moves(p, defs)
+    if not any(lab == TAU for lab, _ in raw):
+        raw.append((TICK, _let_time_pass(p)))
+    out = dict.fromkeys((lab, canonical(q)) for lab, q in raw)
+    return sorted(out, key=lambda e: (e[0].sort_key(), pretty(e[1])))
+
+
+def _moves(p: Process, defs: DefTable) -> list[tuple[Label, Process]]:
+    match p:
+        case Nil():
+            return []
+        case Prefix(pol, a, k):
+            return [(Label(pol, a), k)]
+        case Sum(l, r):
+            return _moves(l, defs) + _moves(r, defs)
+        case Par(l, r):
+            left, right = _moves(l, defs), _moves(r, defs)
+            acc = [(lab, Par(l2, r)) for lab, l2 in left]
+            acc += [(lab, Par(l, r2)) for lab, r2 in right]
+            acc += [
+                (TAU, Par(l2, r2))
+                for lab, l2 in left
+                for lab2, r2 in right
+                if lab.is_comm and lab2 == lab.co()
+            ]
+            return acc
+        case Restrict(a, b):
+            return [
+                (lab, Restrict(a, b2))
+                for lab, b2 in _moves(b, defs)
+                if lab.name != a
+            ]
+        case Call(ident, args):
+            d = defs.lookup(ident)
+            return [(TAU, substitute(d.body, dict(zip(d.params, args))))]
+        case ElseNext(n, _):
+            return _moves(n, defs)
+    raise AssertionError("unreachable node %r" % p)
+
+
+def _let_time_pass(p: Process) -> Process:
+    # the tick successor of a term with no tau step, so no call occurs
+    match p:
+        case Nil() | Prefix(_, _, _):
+            return p
+        case Sum(l, r):
+            return Sum(_let_time_pass(l), _let_time_pass(r))
+        case Par(l, r):
+            return Par(_let_time_pass(l), _let_time_pass(r))
+        case Restrict(a, b):
+            return Restrict(a, _let_time_pass(b))
+        case ElseNext(_, l):
+            return l
+    raise AssertionError("no tick for %r" % p)
 
 
 def canonical(p: Process) -> Process:

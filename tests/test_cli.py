@@ -146,6 +146,10 @@ def test_analyze_json(prog, capsys):
     assert main(["analyze", prog, "-p", "B", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["barbs"] == ["a", "b", "'a"]
+    # the keys of the text line, in its order
+    assert list(doc) == [
+        "stable", "converge", "ctxconv", "diverge", "reactive", "barbs"
+    ]
 
 
 def test_analyze_bound_is_exit_three(prog, capsys):
@@ -297,7 +301,8 @@ def test_a_wide_composition_steps_and_prints(tmp_path, capsys):
 
 
 def test_a_wide_composition_under_a_restriction_steps(tmp_path, capsys):
-    # the restriction steps its body whole, a nest of 1500 compositions
+    # the restriction's body steps by the one composition rule, as a
+    # state does, from the moves of its 1500 equal components
     f = tmp_path / "wide.tccs"
     f.write_text("P = new a. (%s);\n" % " | ".join(["a.0"] * 1500), encoding="ascii")
     assert main(["lts", str(f), "-p", "P", "--bound", "5"]) == 0
@@ -305,6 +310,20 @@ def test_a_wide_composition_under_a_restriction_steps(tmp_path, capsys):
     assert err == "" and "internal error" not in out
     body = " | ".join(["#1.0"] * 1500)
     assert out == "states: 1\n  0: new #1. (%s)  stable, commits {}\nedges:\n  0 -tick-> 0\n" % body
+
+
+def test_a_deep_nest_of_restricted_compositions_steps(tmp_path, capsys):
+    # each level steps its composition through the component path, a
+    # few frames per level; the parser takes up to 196 levels of this
+    t = "0"
+    for i in reversed(range(150)):
+        t = "new a%d. (a%d.0 | 'a%d.0 | %s)" % (i, i, i, t)
+    f = tmp_path / "deep.tccs"
+    f.write_text("P = %s;\n" % t, encoding="ascii")
+    assert main(["lts", str(f), "-p", "P", "--bound", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("states: 5  (truncated)\n")
+    assert out.count(" -tau-> ") == 4
 
 
 def test_a_wide_sum_parses_and_prints(tmp_path, capsys):

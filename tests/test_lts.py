@@ -6,7 +6,7 @@ import pytest
 import tccs.lts
 from hypothesis import given, settings, strategies as st
 
-from oracles import canonical, ring_program
+from oracles import canonical, ring_program, whole_step
 from tccs import (
     DefTable,
     build_lts,
@@ -252,21 +252,10 @@ def test_build_lts_calls_the_module_step_once_per_state(monkeypatch):
     assert lts.succ == plain.succ and lts.roots == plain.roots
 
 
-def _reference_step(p, defs, memo=None):
-    # every term stepped as a whole: `_alpha` on the term, then each
-    # target canonicalized by the oracle, which builds no composition
-    # through `compose` and reads no cached canonical form
-    raw = tccs.lts._alpha(p, defs)
-    if not any(lab is TAU for lab, _ in raw):
-        raw = raw + [(TICK, tccs.lts._tick(p))]
-    out = dict.fromkeys((lab, canonical(q)) for lab, q in raw)
-    return sorted(out, key=lambda e: (e[0].sort_key(), pretty(e[1])))
-
-
 def _assert_component_path_matches(roots, defs, bound):
     lts = build_lts(roots, defs, bound)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tccs.lts, "step", _reference_step)
+        mp.setattr(tccs.lts, "step", lambda q, defs, memo: whole_step(q, defs))
         ref = build_lts(roots, defs, bound)
     assert lts.terms == ref.terms and lts.succ == ref.succ
     assert lts.roots == ref.roots and lts.truncated == ref.truncated
@@ -275,8 +264,8 @@ def _assert_component_path_matches(roots, defs, bound):
 
 
 def test_compositions_step_by_component_as_whole_terms_do():
-    # graphs, edge order and canonical states equal those of stepping
-    # every state as a whole term
+    # graphs, edge order and canonical states equal those of the
+    # binary-rule reference, which steps every state as a whole term
     for k in (3, 4):
         res = parse(ring_program(k))
         p, defs = res.process("R"), res.defs
@@ -286,6 +275,10 @@ def test_compositions_step_by_component_as_whole_terms_do():
         "a.0 | a.0 | 'a.0 | 'a.0",
         "b.0 | a.b.0 | a.b.0 | 'a.0 | 'b.0",
         "(a.0 + 'a.0) | (a.0 + 'a.0) | c.0",
+        # compositions nested under another node
+        "new a. (a.0 | 'a.0 | a.0) | b.0",
+        "c.0 + (a.0 | 'a.0)",
+        "{a.0 | 'a.0} else b.0",
     ):
         p, defs = parse_proc(src)
         _assert_component_path_matches([p], defs, 10000)
@@ -324,13 +317,13 @@ def _subterms(p):
 def test_step_on_any_term_agrees_with_stepping_it_whole():
     # `step` canonicalizes first, so also a subterm that is not in
     # canonical form, such as an unsorted composition, an alpha-variant
-    # or a composition under a sum, steps as the whole-term reference
+    # or a composition under a sum, steps as the binary-rule reference
     count = 0
     for seed in range(300):
         for draw in (random_term, random_sl_program):
             p, defs = draw(random.Random(seed), GenConfig(depth=4, max_defs=2))
             for q in _subterms(p):
-                assert step(q, defs) == _reference_step(q, defs)
+                assert step(q, defs) == whole_step(q, defs)
                 count += canonicalize(q) is not q
     assert count > 500
 
