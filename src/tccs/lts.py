@@ -20,15 +20,15 @@ result, not raised, and downstream analyses refuse truncated graphs.
 Terms are hash-consed, so one component recurs across many states.
 `build_lts` computes the moves of each distinct component once, in a
 memo that dies with the call and so keeps no term alive.  `step`
-treats every state as a composition of its components, a term that is
-not a composition being a composition of one: an edge moves one
-component, or two that synchronize, and a tick moves each.  So `step`
-reads each component's moves, targets already canonical, from the memo
-and swaps the moved components for their targets' operands, instead of
-rebuilding and canonicalizing the whole state for every edge.  A
-composition under a restriction, sum or else_next, as in every encoded
-tau.P, is stepped by the same rule from the same memo, so there is one
-composition rule.  The tests check it against an independent reference
+composes a state's moves from its components', a term that is not a
+composition being a composition of one: an edge swaps the component
+that moved, or the two that synchronized, for the operands of their
+memoized canonical targets, instead of rebuilding and canonicalizing
+the whole state.  A composition under a restriction, sum or
+else_next, as in every encoded tau.P, has its moves composed by the
+same rule from the same memo.  The tick is one rule over the whole
+state, `_tick`, nested compositions included, and the memo holds no
+tick.  The tests check both rules against an independent reference
 that steps every term whole by the binary rules (`tests/oracles.py`).
 """
 
@@ -84,20 +84,18 @@ def step(
 
     The tick successor is present exactly when no tau step is, and is
     unique.  The result is deduplicated and deterministically ordered.
-    p is canonicalized and stepped as a composition of its components,
+    p is canonicalized and its moves are composed from its components',
     one component when it is not a composition (`_compose_moves`); the
-    tick composes the components' ticks.  `memo` maps each component
-    to its moves, None for a fresh one; its lists are shared, so none
-    is mutated.
+    tick is `_tick` of the whole state.  `memo` maps each component to
+    its moves, None for a fresh one; its lists are shared, so none is
+    mutated.
     """
     if memo is None:
         memo = {}
     p = canonicalize(p)
     moves = _compose_moves(p, defs, memo)
     if not any(lab is TAU for lab, _ in moves):
-        # no tau, so every component is stable and has its tick
-        ticks = [q for c in _flat(p, Par) for q in memo[c][1]]
-        moves.append((TICK, compose(ticks)))
+        moves.append((TICK, canonicalize(_tick(p))))
     return sorted(
         dict.fromkeys(moves), key=lambda e: (e[0].sort_key(), pretty(e[1]))
     )
@@ -118,7 +116,7 @@ def _compose_moves(
     """
     parts = _flat(p, Par)
     last = len(parts) - 1
-    comps = [_component(c, defs, memo)[0] for c in parts]
+    comps = [_component(c, defs, memo) for c in parts]
     moves = []
     for i, c in enumerate(parts):
         if i and c is parts[i - 1]:
@@ -139,21 +137,17 @@ def _compose_moves(
     return moves
 
 
-def _component(c: Process, defs: DefTable, memo: dict) -> tuple[list, list | None]:
-    """A component's moves and, if it is stable, its tick.
+def _component(c: Process, defs: DefTable, memo: dict) -> list:
+    """A component's instantaneous moves, stored in `memo` under `c`.
 
-    Each target is the operand list of its canonical form.  Stored in
-    `memo` under `c`.
+    Each target is the operand list of its canonical form.
     """
-    entry = memo.get(c)
-    if entry is None:
-        moves = [
+    moves = memo.get(c)
+    if moves is None:
+        moves = memo[c] = [
             (lab, _flat(canonicalize(q), Par)) for lab, q in _alpha(c, defs, memo)
         ]
-        stable = not any(lab is TAU for lab, _ in moves)
-        tick = _flat(canonicalize(_tick(c)), Par) if stable else None
-        entry = memo[c] = (moves, tick)
-    return entry
+    return moves
 
 
 def _alpha(p: Process, defs: DefTable, memo: dict) -> list[tuple[Label, Process]]:
@@ -189,9 +183,11 @@ def _alpha(p: Process, defs: DefTable, memo: dict) -> list[tuple[Label, Process]
 def _tick(p: Process) -> Process:
     """Tick successor, defined only for states without a tau step.
 
-    Under that premise every branch of a sum or composition can let
-    time pass itself, and a call can never occur here: its unfolding
-    tau would have shown up at the top.
+    The only rule that lets time pass: `step` applies it to a whole
+    state, and it recurses into every part.  Under that premise every
+    branch of a sum or composition can let time pass itself, and a
+    call can never occur here: its unfolding tau would have shown up
+    at the top.
     """
     match p:
         case Nil() | Prefix(_, _, _):
@@ -341,7 +337,7 @@ def build_lts(
         raise ValueError("bound must be at least 1")
     terms: list[Process] = []
     index: dict[Process, int] = {}
-    succ: list[tuple[tuple[Label, int], ...] | None] = []
+    succ: list[tuple[tuple[Label, int], ...]] = []
     truncated = False
 
     def intern(p: Process) -> int | None:
@@ -354,7 +350,7 @@ def build_lts(
             return None
         index[p] = i = len(terms)
         terms.append(p)
-        succ.append(None)
+        succ.append(())
         return i
 
     root_ids: list[int] = []
@@ -378,8 +374,7 @@ def build_lts(
         else:
             succ[i] = tuple(edges)
 
-    filled = [e if e is not None else () for e in succ]
-    return Lts(defs, tuple(root_ids), terms, index, filled, truncated)
+    return Lts(defs, tuple(root_ids), terms, index, succ, truncated)
 
 
 # ---------------------------------------------------------------------------

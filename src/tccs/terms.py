@@ -282,10 +282,6 @@ class Prefix(Process):
         self.cont = cont
         self.free = cont.free | {name}
 
-    @property
-    def label(self) -> Label:
-        return Label(self.polarity, self.name)
-
 
 class Sum(Process):
     __slots__ = ("left", "right")

@@ -48,6 +48,14 @@ def test_parse_single_process_and_json(prog, capsys):
     }
 
 
+def test_parse_whole_program_as_json(prog, capsys):
+    assert main(["parse", prog, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["defs"]["D"] == {"params": ["a"], "body": "a.D(a)"}
+    assert doc["processes"]["P"] == "a.0 + b.0"
+    assert set(doc["processes"]) == {"P", "Q", "W", "B", "Z", "O"}
+
+
 def test_parse_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("P = tick.a.0;\n"))
     assert main(["parse", "-", "-p", "P"]) == 0
@@ -253,6 +261,23 @@ def test_check_falsify_reports_a_context(prog, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "context: [] ;" in out and "may-converge" in out
+
+
+def test_check_falsify_notes_contexts_skipped_at_the_bound(tmp_path, capsys):
+    f = tmp_path / "pq.tccs"
+    f.write_text("P = a.0;\nQ = a.0 + a.0;\n", encoding="ascii")
+    code = main([
+        "check", str(f), "-p", "P", "-q", "Q", "--rel", "conv",
+        "--falsify", "--depth", "1", "--bound", "3",
+    ])
+    assert code == 0
+    cap = capsys.readouterr()
+    assert cap.out.strip() == "related"
+    notes = cap.err.splitlines()
+    assert len(notes) == 6 and all(
+        n.startswith("note: context ") and n.endswith(" skipped (bound)")
+        for n in notes
+    )
 
 
 def test_check_rejects_untimed_mode_on_timed_terms(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_verify_laws_reports_injected_tick_violations():
     root = lts.roots[0]
     # duplicate the tick edge to a different target: determinism breaks
     succ = list(lts.succ)
-    zero = next(j for lab, j in succ[root] if lab == TICK or True)
+    zero = next(j for lab, j in succ[root] if lab == inp("a"))
     broken = Lts(
         lts.defs,
         lts.roots,
@@ -127,6 +127,28 @@ def test_verify_laws_reports_injected_tick_violations():
         False,
     )
     assert any("tick" in line for line in verify_lts_laws(broken))
+    # a tau self-loop at the root: the tick sits beside a tau, and the
+    # rules' commitment sits on a state the edges make unstable
+    looped = [
+        out_ + ((TAU, root),) if i == root else out_
+        for i, out_ in enumerate(succ)
+    ]
+    broken = Lts(lts.defs, lts.roots, lts.terms, lts.index, looped, False)
+    assert verify_lts_laws(broken) == [
+        "state %d (a.0): tick present=True but tau present=True" % root,
+        "state %d (a.0): commitment {a} but stable=False" % root,
+    ]
+    # the root's tick retargeted to 0: an untimed term leaves itself
+    retick = [
+        tuple((lab, zero if lab is TICK else j) for lab, j in out_)
+        if i == root
+        else out_
+        for i, out_ in enumerate(succ)
+    ]
+    broken = Lts(lts.defs, lts.roots, lts.terms, lts.index, retick, False)
+    assert verify_lts_laws(broken) == [
+        "state %d (a.0): ticks to %d instead of itself" % (root, zero)
+    ]
 
 
 def test_verify_laws_checks_the_edges_against_the_rules():

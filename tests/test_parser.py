@@ -127,6 +127,11 @@ def test_comments_and_stdin_friendly_whitespace():
         ("P = 'tau.0;", 1, 6, "expected a name"),
         ("x", 1, 1, "expected a definition"),
         ("P = a.0;\nQ = b\u00e9.0;", 2, 6, "stray character"),
+        ("P = #x.0;", 1, 5, "bad machine token"),
+        ("#Foo = 0;", 1, 1, "is reserved for generated definitions"),
+        ("A = 0; A(a) = a.0;", 1, 8, "duplicate definition of A"),
+        ("A(a, a) = a.0;", 1, 1, "repeated parameter"),
+        ("P = 0; Q = P();", 1, 14, "is a named process, not a parameterized definition"),
     ],
 )
 def test_errors_carry_position_and_cause(src, line, col, fragment):
