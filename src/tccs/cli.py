@@ -277,10 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except BoundExceeded as exc:

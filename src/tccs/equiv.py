@@ -140,8 +140,9 @@ def weak(lts: Lts, label: Label) -> set[tuple[int, int]]:
 class CertEntry:
     """One eliminated pair: who challenged, how, and in which round.
 
-    Every weak response to the challenge leads to a pair with an entry
-    earlier in the same certificate.  A challenge-free entry records a
+    Every weak response to the challenge, `responses` in ascending state
+    order, leads to a pair with an entry earlier in the same
+    certificate.  A challenge-free entry records a
     pair discarded by an initial filter (divergence agreement, or
     may-convergence agreement for the untimed variant), in round 0.
     """
@@ -150,6 +151,7 @@ class CertEntry:
     clause: str
     challenge: tuple[int, Label, int] | None
     round: int
+    responses: tuple[int, ...] = ()
 
     def to_json(self) -> dict:
         ch = self.challenge
@@ -417,9 +419,10 @@ def _cone(
             continue
         need.remove(pair)
         clause, lab, s2, answers = table[s][k]
-        for u in _bits(answers[t]):
+        responses = tuple(_bits(answers[t]))
+        for u in responses:
             need.add((s2, u) if s2 < u else (u, s2))
-        cone.append(CertEntry((s, t), clause, (s, lab, s2), r))
+        cone.append(CertEntry((s, t), clause, (s, lab, s2), r, responses))
     if need:
         assert mode in _FILTERS, "a refuted response is not in the log"
         flag = getattr(an, "may_" + _FILTERS[mode])
@@ -657,7 +660,6 @@ def explain(v: EquivVerdict) -> str:
         raise ValueError("verdict carries no graph to explain against")
 
     an = analysis(lts)
-    table = _game(lts, an, v.mode)
     where: dict[tuple[int, int], int] = {}
     for idx, e in enumerate(v.certificate):
         where[e.pair] = where[e.pair[::-1]] = idx
@@ -685,17 +687,14 @@ def explain(v: EquivVerdict) -> str:
             )
             continue
         _, lab, dst = e.challenge
-        answers = next(
-            a for _, l, d, a in table[s] if l == lab and d == dst
-        )[t]
         head = "#%d [%s] %s -%s-> %s, challenged against %s:" % (
             idx, e.clause, state(s), lab, state(dst), state(t)
         )
-        if not answers:
+        if not e.responses:
             lines.append("%s no weak %s response exists" % (head, lab))
         else:
             lines.append(head)
-        for u in _bits(answers):
+        for u in e.responses:
             lines.append("  response to %s fails: #%d" % (
                 state(u), where[dst, u]
             ))

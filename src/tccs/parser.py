@@ -23,11 +23,18 @@ terms reparse.  The derived forms are expanded while parsing: tau and
 (+) via the restricted-handshake encoding with a per-parse supply of
 fresh names, tick via else_next, Omega and emit via generated
 definitions.  The expanded tree uses only the seven core constructors.
+
+The lexer is one regular expression with a named group per token
+class.  A term is read by one loop over an explicit stack of open
+groups, not by recursion, so the depth of a term is bounded by memory,
+not by the interpreter's stack.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .terms import (
     EMIT_IDENT,
@@ -43,6 +50,7 @@ from .terms import (
     Process,
     Restrict,
     Sum,
+    _rebuild,
     ensure_builtins,
     internal_choice,
     make_tau,
@@ -63,90 +71,50 @@ class ParseError(Exception):
         return "line %d, column %d: %s" % (self.line, self.col, self.msg)
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     type: str
     text: str
     line: int
     col: int
 
 
-_PUNCT = {"(", ")", "{", "}", ".", "+", "|", "=", ";", ","}
-# names and identifiers are ASCII only; str.isalpha would admit any
-# Unicode letter
-_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_WORD = _LETTERS | frozenset("0123456789_")
+# The tokens, one named group per class, tried in order.  Words are
+# ASCII only, and a 0 is a token of its own even right before letters.
+_TOKEN = re.compile(
+    r"(?P<nl>\n)|(?P<skip>[ \t\r]+|//.*)|(?P<punct>\(\+\)|[(){}.+|=;,'])"
+    r"|(?P<zero>0)|(?P<machine>#[A-Za-z0-9_]*)|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<stray>.)"
+)
 
 
 def _lex(src: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "nl":
+            line, start = line + 1, m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if src.startswith("(+)", i):
-            toks.append(_Tok("(+)", "(+)", line, col))
-            i += 3
-            col += 3
-            continue
-        if c in _PUNCT:
-            toks.append(_Tok(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c == "'":
-            toks.append(_Tok("'", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c == "0":
-            toks.append(_Tok("zero", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            j = i + 1
-            while j < n and src[j] in _WORD:
-                j += 1
-            word = src[i:j]
-            if len(word) > 1 and word[1:].isdigit():
-                toks.append(_Tok("name", word, line, col))
-            elif len(word) > 1 and word[1].isupper():
-                toks.append(_Tok("ident", word, line, col))
+        col = m.start() - start + 1
+        if kind == "word":
+            kind = text if text in KEYWORDS else "ident" if text[0].isupper() else "name"
+        elif kind == "punct":
+            kind = text
+        elif kind == "machine":
+            if text[1:].isdigit():
+                kind = "name"
+            elif text[1:2].isupper():
+                kind = "ident"
             else:
-                raise ParseError("bad machine token %r" % word, line, col)
-            col += j - i
-            i = j
-            continue
-        if c in _LETTERS:
-            j = i
-            while j < n and src[j] in _WORD:
-                j += 1
-            word = src[i:j]
-            if word in KEYWORDS:
-                toks.append(_Tok(word, word, line, col))
-            elif word[0].isupper():
-                toks.append(_Tok("ident", word, line, col))
-            else:
-                toks.append(_Tok("name", word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError("stray character %r" % c, line, col)
-    toks.append(_Tok("eof", "", line, col))
+                raise ParseError("bad machine token %r" % text, line, col)
+        elif kind == "stray":
+            raise ParseError("stray character %r" % text, line, col)
+        if kind != "skip":
+            toks.append(_Tok(kind, text, line, col))
+    # a trailing comment takes no columns, so the end sits at its start;
+    # every // left on the last line is inside that comment
+    end = src.find("//", start)
+    toks.append(_Tok("eof", "", line, (len(src) if end < 0 else end) - start + 1))
     return toks
 
 
@@ -168,6 +136,16 @@ class ParseResult:
         if name in self.defs and not self.defs.lookup(name).params:
             return Call(name, ())
         raise KeyError("no process named %s" % name)
+
+
+# what a pending head makes of the term it prefixes; tau draws a name
+_WRAP = {
+    "name": lambda a, p: Prefix("in", a, p),
+    "'": lambda a, p: Prefix("out", a, p),
+    "new": Restrict,
+    "tick": lambda a, p: make_tick(p),
+    "{": ElseNext,
+}
 
 
 class _Parser:
@@ -200,10 +178,6 @@ class _Parser:
             raise ParseError("expected %s, found %s" % (want, got), t.line, t.col)
         return self.next()
 
-    def fail(self, msg: str) -> ParseError:
-        t = self.peek()
-        return ParseError(msg, t.line, t.col)
-
     # grammar
 
     def program(self) -> ParseResult:
@@ -214,43 +188,31 @@ class _Parser:
 
     def definition(self) -> None:
         head = self.expect("ident", "a definition (identifier)")
-        if head.text.startswith("#"):
+        ident, line, col = head.text, head.line, head.col
+        if ident.startswith("#"):
             raise ParseError(
-                "identifier %s is reserved for generated definitions" % head.text,
-                head.line,
-                head.col,
+                "identifier %s is reserved for generated definitions" % ident, line, col
             )
+        params = None
         if self.peek().type == "(":
             self.next()
             params = self.name_list()
             self.expect(")")
-            self.expect("=")
-            body = self.proc()
-            self.expect(";")
-            if head.text in self.named:
-                raise ParseError(
-                    "duplicate definition of %s" % head.text, head.line, head.col
-                )
-            if len(set(params)) != len(params):
-                raise ParseError(
-                    "repeated parameter in definition of %s" % head.text,
-                    head.line,
-                    head.col,
-                )
-            try:
-                self.defs.define(head.text, tuple(params), body)
-            except ValueError as e:
-                raise ParseError(str(e), head.line, head.col) from None
+        self.expect("=")
+        body = self.term()
+        self.expect(";")
+        if ident in self.named or (params is None and ident in self.defs):
+            raise ParseError("duplicate definition of %s" % ident, line, col)
+        if params is None:
+            self.named[ident] = body
+            self.order.append(ident)
+        elif len(set(params)) != len(params):
+            raise ParseError("repeated parameter in definition of %s" % ident, line, col)
         else:
-            self.expect("=")
-            body = self.proc()
-            self.expect(";")
-            if head.text in self.named or head.text in self.defs:
-                raise ParseError(
-                    "duplicate definition of %s" % head.text, head.line, head.col
-                )
-            self.named[head.text] = body
-            self.order.append(head.text)
+            try:
+                self.defs.define(ident, tuple(params), body)
+            except ValueError as e:
+                raise ParseError(str(e), line, col) from None
 
     def name_list(self) -> list[str]:
         names: list[str] = []
@@ -261,117 +223,118 @@ class _Parser:
                 names.append(self.expect("name", "a name").text)
         return names
 
-    def proc(self) -> Process:
-        return self.par()
+    def term(self) -> Process:
+        """A whole term, read by one loop over a stack of open groups.
 
-    def par(self) -> Process:
-        p = self.sum()
-        while self.peek().type == "|":
-            self.next()
-            p = Par(p, self.sum())
-        return p
+        A frame is (kind, held, heads, pars, sums), one per open group:
+        the whole term, "(", the right operand of "(+)", the braces of
+        {P} else, and present's two braces.  `heads` are the pending
+        prefixes of the prefix-level term being read, as (token type,
+        name or term) pairs, `pars` the finished operands of |, `sums`
+        the operands of the current +, and `held` what the group keeps
+        for its closing: (+)'s left operand, present's name and branch.
+        """
+        frames = [("term", None, [], [], [])]
+        while True:
+            heads = frames[-1][2]
+            t = self.next()
+            kind = t.type
+            if kind in ("name", "'", "new", "tau", "tick"):
+                a = t.text
+                if kind == "'" or kind == "new":
+                    a = self.expect("name", "a name").text
+                self.expect(".")
+                heads.append((kind, a))
+                continue
+            if kind == "(" or kind == "{":
+                frames.append((kind, None, [], [], []))
+                continue
+            if kind == "present":
+                a = self.expect("name", "a name").text
+                self.expect("{")
+                frames.append((kind, a, [], [], []))
+                continue
+            p = self.atom(t)
+            # p is a finished prefix-level term: it takes its group's
+            # heads, innermost first, and each group that ends with it
+            # closes into a term of the group around it
+            while True:
+                kind, held, heads, pars, sums = frames[-1]
+                while heads:
+                    head, a = heads.pop()
+                    if head == "tau":
+                        p = make_tau(p, self.supply.fresh())
+                    else:
+                        p = _WRAP[head](a, p)
+                sums.append(p)
+                after = self.peek().type
+                if after != "+":
+                    pars.append(_rebuild(sums, Sum))
+                    sums.clear()
+                if after == "+" or after == "|":
+                    self.next()
+                    break
+                q = _rebuild(pars, Par)
+                if kind == "term":
+                    return q
+                if kind == "(" and after == "(+)":
+                    self.next()
+                    frames[-1] = ("(+)", q, [], [], [])
+                    break
+                self.expect(")" if kind == "(" or kind == "(+)" else "}")
+                frames.pop()
+                if kind == "{":
+                    self.expect("else")
+                    frames[-1][2].append(("{", q))
+                    break
+                if kind == "present":
+                    self.expect("else")
+                    self.expect("{")
+                    frames.append(("present-else", (held, q), [], [], []))
+                    break
+                if kind == "(":
+                    p = q
+                elif kind == "(+)":
+                    p = internal_choice(held, q, self.supply)
+                else:
+                    p = ElseNext(Prefix("in", held[0], held[1]), q)
 
-    def sum(self) -> Process:
-        p = self.pre()
-        while self.peek().type == "+":
-            self.next()
-            p = Sum(p, self.pre())
-        return p
-
-    def pre(self) -> Process:
-        t = self.peek()
+    def atom(self, t: _Tok) -> Process:
+        """The term a token starts that takes no operand: 0, Omega,
+        emit(a) or a call."""
         if t.type == "zero":
-            self.next()
             return NIL
-        if t.type == "name":
-            self.next()
-            self.expect(".")
-            return Prefix("in", t.text, self.pre())
-        if t.type == "'":
-            self.next()
-            a = self.expect("name", "a name").text
-            self.expect(".")
-            return Prefix("out", a, self.pre())
-        if t.type == "tau":
-            self.next()
-            self.expect(".")
-            return make_tau(self.pre(), self.supply.fresh())
-        if t.type == "tick":
-            self.next()
-            self.expect(".")
-            return make_tick(self.pre())
-        if t.type == "new":
-            self.next()
-            a = self.expect("name", "a name").text
-            self.expect(".")
-            return Restrict(a, self.pre())
-        if t.type == "{":
-            self.next()
-            now = self.proc()
-            self.expect("}")
-            self.expect("else")
-            return ElseNext(now, self.pre())
         if t.type == "Omega":
-            self.next()
             ensure_builtins(self.defs, omega=True)
             return Call(OMEGA_IDENT, ())
         if t.type == "emit":
-            self.next()
             self.expect("(")
             a = self.expect("name", "a name").text
             self.expect(")")
             ensure_builtins(self.defs, emit=True)
             return Call(EMIT_IDENT, (a,))
-        if t.type == "present":
-            self.next()
-            a = self.expect("name", "a name").text
-            self.expect("{")
-            now = self.proc()
-            self.expect("}")
-            self.expect("else")
-            self.expect("{")
-            later = self.proc()
-            self.expect("}")
-            return ElseNext(Prefix("in", a, now), later)
         if t.type == "ident":
-            self.next()
             self.expect("(")
             args = self.name_list()
             close = self.expect(")")
             self.calls.append((t.text, len(args), close))
             return Call(t.text, tuple(args))
-        if t.type == "(":
-            self.next()
-            p = self.proc()
-            if self.peek().type == "(+)":
-                self.next()
-                q = self.proc()
-                self.expect(")")
-                return internal_choice(p, q, self.supply)
-            self.expect(")")
-            return p
-        raise self.fail("expected a process")
+        raise ParseError("expected a process", t.line, t.col)
 
     def resolve_calls(self) -> None:
         for ident, nargs, tok in self.calls:
             if ident not in self.defs:
+                why = "unbound process identifier %s"
                 if ident in self.named:
-                    raise ParseError(
+                    why = (
                         "%s is a named process, not a parameterized definition;"
-                        " give it a parameter list to make it callable" % ident,
-                        tok.line,
-                        tok.col,
+                        " give it a parameter list to make it callable"
                     )
-                raise ParseError(
-                    "unbound process identifier %s" % ident, tok.line, tok.col
-                )
+                raise ParseError(why % ident, tok.line, tok.col)
             want = len(self.defs.lookup(ident).params)
             if want != nargs:
-                raise ParseError(
-                    "%s takes %d argument(s), got %d" % (ident, want, nargs),
-                    tok.line,
-                    tok.col,
-                )
+                why = "%s takes %d argument(s), got %d" % (ident, want, nargs)
+                raise ParseError(why, tok.line, tok.col)
 
 
 def parse(src: str) -> ParseResult:
@@ -390,7 +353,7 @@ def parse_proc(
     parser = _Parser(_lex(src))
     if defs is not None:
         parser.defs = defs.copy()
-    p = parser.proc()
+    p = parser.term()
     parser.expect("eof", "end of input")
     parser.resolve_calls()
     return p, parser.defs

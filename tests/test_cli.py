@@ -310,6 +310,13 @@ def test_a_too_deep_term_is_an_internal_error_in_one_line(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_deeply_nested_parentheses_parse(tmp_path, capsys):
+    f = tmp_path / "deep.tccs"
+    f.write_text("P = %sa.0%s;\n" % ("(" * 3000, ")" * 3000), encoding="ascii")
+    assert main(["parse", str(f), "-p", "P"]) == 0
+    assert capsys.readouterr() == ("a.0\n", "")
+
+
 def test_a_wide_composition_steps_and_prints(tmp_path, capsys):
     # each state drops one a.0; the bound stops the graph at five states
     f = tmp_path / "wide.tccs"
@@ -339,7 +346,8 @@ def test_a_wide_composition_under_a_restriction_steps(tmp_path, capsys):
 
 def test_a_deep_nest_of_restricted_compositions_steps(tmp_path, capsys):
     # each level steps its composition through the component path, a
-    # few frames per level; the parser takes up to 196 levels of this
+    # few frames per level: `tccs lts` runs 197 levels of this to the
+    # bound, and at 198 the stepper runs out of stack
     t = "0"
     for i in reversed(range(150)):
         t = "new a%d. (a%d.0 | 'a%d.0 | %s)" % (i, i, i, t)

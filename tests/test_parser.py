@@ -1,8 +1,11 @@
 """Concrete syntax: grammar coverage, macro expansion, error positions."""
 
+import random
+
 import pytest
 
 from tccs import ParseError, parse, parse_proc, pretty
+from tccs.generate import random_sl_program, random_term
 from tccs.terms import (
     NIL,
     Call,
@@ -132,6 +135,17 @@ def test_comments_and_stdin_friendly_whitespace():
         ("A = 0; A(a) = a.0;", 1, 8, "duplicate definition of A"),
         ("A(a, a) = a.0;", 1, 1, "repeated parameter"),
         ("P = 0; Q = P();", 1, 14, "is a named process, not a parameterized definition"),
+        ("P = #;", 1, 5, "bad machine token"),
+        ("P = 1a.0;", 1, 5, "stray character '1'"),
+        ("P = _a.0;", 1, 5, "stray character '_'"),
+        # the end of input after a trailing comment sits at its start
+        ("P = a.0 // no semicolon", 1, 9, "expected ';'"),
+        # a carriage return is a column, only a newline starts a line
+        ("P = a.0;\r\nQ = b.0\r\n", 3, 1, "expected ';'"),
+        ("P =\ta.0\t?;", 1, 9, "stray character '?'"),
+        # 0 is a token of its own even right before letters
+        ("P = 0a.0;", 1, 6, "found 'a'"),
+        ("P = (a.0 (+) b.0;", 1, 17, "expected ')'"),
     ],
 )
 def test_errors_carry_position_and_cause(src, line, col, fragment):
@@ -155,3 +169,40 @@ def test_round_trip_of_a_mixed_program():
     p = res.process("P")
     q, _ = parse_proc(pretty(p), defs=res.defs)
     assert q == p
+
+
+@pytest.mark.parametrize(
+    "src, printed",
+    [
+        (
+            "tau.(a.0 (+) tau.b.0)",
+            "new #4. (#4.(new #2. (#2.a.0 | '#2.0) + new #3. (#3.new #1."
+            " (#1.b.0 | '#1.0) | '#3.0)) | '#4.0)",
+        ),
+        (
+            "tau.{tau.0} else tau.0",
+            "new #3. (#3.{new #1. (#1.0 | '#1.0)} else new #2. (#2.0 | '#2.0)"
+            " | '#3.0)",
+        ),
+    ],
+)
+def test_nested_macros_draw_fresh_names_innermost_first(src, printed):
+    # a derived form takes its fresh names once its operands are read,
+    # so inner macros are numbered before the ones around them
+    assert pretty(parse_proc(src)[0]) == printed
+
+
+def test_printed_random_terms_reparse_to_the_same_node():
+    for seed in range(200):
+        rng = random.Random(seed)
+        p, defs = (random_term if seed % 2 else random_sl_program)(rng)
+        assert parse_proc(pretty(p), defs)[0] is p, seed
+
+
+def test_a_deep_chain_parses_without_recursion():
+    p = parse("P = %s0;" % ("a." * 3000)).process("P")
+    depth = 0
+    while isinstance(p, Prefix):
+        p = p.cont
+        depth += 1
+    assert depth == 3000 and p is NIL
