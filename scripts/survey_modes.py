@@ -12,7 +12,6 @@ import random
 import sys
 
 from tccs import (
-    BoundExceeded,
     build_lts,
     check_states,
     ensure_builtins,
@@ -80,12 +79,9 @@ def main() -> int:
             ).related
             related[mode] += flags[mode]
         patterns["".join("ry"[flags[m]] for m in (USUAL, CONV, CONV_DIV))] += 1
-        try:
-            hit = falsify_with_context(
-                p, q, defs, depth=args.falsify_depth, bound=args.bound
-            )
-        except BoundExceeded:
-            hit = None
+        hit = falsify_with_context(
+            p, q, defs, depth=args.falsify_depth, bound=args.bound
+        )
         if hit is not None:
             hunted += 1
             confirmed += int(not flags[CONV])

@@ -21,6 +21,7 @@ rewrites that are sound for every mode and do not change divergence.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .terms import (
@@ -299,41 +300,31 @@ def random_sl_program(
 # related pairs
 
 
-def _static_positions(p: Process) -> list[tuple[int, ...]]:
-    """Paths to every hole position of a static context around p."""
-    acc: list[tuple[int, ...]] = [()]
+def _static_positions(p: Process) -> list[tuple[Process, Callable]]:
+    """Every hole position of a static context around p.
+
+    Each is the term there and a function that puts a replacement in
+    its place.  They are the positions of the binary view, in its
+    order: the whole, each left part of a composition, longest first,
+    then each operand's own positions.
+    """
+    acc: list[tuple[Process, Callable]] = [(p, lambda sub: sub)]
     match p:
-        case Par(l, r):
-            acc += [(0,) + path for path in _static_positions(l)]
-            acc += [(1,) + path for path in _static_positions(r)]
-        case Restrict(_, b):
-            acc += [(0,) + path for path in _static_positions(b)]
-    return acc
-
-
-def _get(p: Process, path: tuple[int, ...]) -> Process:
-    for i in path:
-        match p:
-            case Par(l, r):
-                p = l if i == 0 else r
-            case Restrict(_, b):
-                p = b
-            case _:
-                raise AssertionError("path leaves the static spine")
-    return p
-
-
-def _put(p: Process, path: tuple[int, ...], sub: Process) -> Process:
-    if not path:
-        return sub
-    match p:
-        case Par(l, r):
-            if path[0] == 0:
-                return Par(_put(l, path[1:], sub), r)
-            return Par(l, _put(r, path[1:], sub))
+        case Par():
+            ps = p.parts
+            for k in range(len(ps) - 1, 1, -1):
+                acc.append((Par(*ps[:k]), lambda sub, k=k: Par(sub, *ps[k:])))
+            for i, q in enumerate(ps):
+                acc += [
+                    (t, lambda sub, i=i, put=put: Par(*ps[:i], put(sub), *ps[i + 1 :]))
+                    for t, put in _static_positions(q)
+                ]
         case Restrict(a, b):
-            return Restrict(a, _put(b, path[1:], sub))
-    raise AssertionError("path leaves the static spine")
+            acc += [
+                (t, lambda sub, put=put: Restrict(a, put(sub)))
+                for t, put in _static_positions(b)
+            ]
+    return acc
 
 
 def related_pair(
@@ -352,9 +343,7 @@ def related_pair(
     q = p
     supply = NameSupply(avoid=all_names(p))
     for _ in range(rewrites):
-        paths = _static_positions(q)
-        path = rng.choice(paths)
-        target = _get(q, path)
+        target, put = rng.choice(_static_positions(q))
         choices = ["dup", "tau"]
         if isinstance(target, Call):
             choices.append("unfold")
@@ -374,5 +363,5 @@ def related_pair(
             replacement = substitute(
                 d.body, dict(zip(d.params, target.args))
             )
-        q = _put(q, path, replacement)
+        q = put(replacement)
     return p, q, defs

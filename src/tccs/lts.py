@@ -20,16 +20,18 @@ result, not raised, and downstream analyses refuse truncated graphs.
 Terms are hash-consed, so one component recurs across many states.
 `build_lts` computes the moves of each distinct component once, in a
 memo that dies with the call and so keeps no term alive.  `step`
-composes a state's moves from its components', a term that is not a
-composition being a composition of one: an edge swaps the component
-that moved, or the two that synchronized, for the operands of their
-memoized canonical targets, instead of rebuilding and canonicalizing
-the whole state.  A composition under a restriction, sum or
-else_next, as in every encoded tau.P, has its moves composed by the
-same rule from the same memo.  The tick is one rule over the whole
-state, `_tick`, nested compositions included, and the memo holds no
-tick.  The tests check both rules against an independent reference
-that steps every term whole by the binary rules (`tests/oracles.py`).
+composes a state's moves from its components', the operands of its
+composition node, a term that is not a composition being a
+composition of one: an edge swaps the component that moved, or the
+two that synchronized, for the operands of their memoized canonical
+targets, and `compose` builds the result as one node, instead of
+rebuilding and canonicalizing the whole state.  A composition under a
+restriction, sum or else_next, as in every encoded tau.P, has its
+moves composed by the same rule from the same memo.  The tick is one
+rule over the whole state, `_tick`, nested compositions included, and
+the memo holds no tick.  The tests check both rules against an
+independent reference that steps every term whole by the binary rules
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ from .terms import (
     Process,
     Restrict,
     Sum,
-    _flat,
-    _rebuild,
     canonicalize,
     classify,
     compose,
@@ -114,7 +114,7 @@ def _compose_moves(
     adjacent and move alike, so only the first of a run moves on its
     own or as the earlier of a pair.
     """
-    parts = _flat(p, Par)
+    parts = _components(p)
     last = len(parts) - 1
     comps = [_component(c, defs, memo) for c in parts]
     moves = []
@@ -132,9 +132,14 @@ def _compose_moves(
                     continue
                 for lab2, new2 in comps[j]:
                     if lab2 is co:
-                        pair = [*head, *new, *parts[i + 1 : j], *new2]
-                        moves.append((TAU, compose(pair + parts[j + 1 :])))
+                        pair = [*head, *new, *parts[i + 1 : j], *new2, *parts[j + 1 :]]
+                        moves.append((TAU, compose(pair)))
     return moves
+
+
+def _components(p: Process) -> tuple[Process, ...]:
+    # the operands of a canonical term's composition, or the term
+    return p.parts if type(p) is Par else (p,)  # type: ignore[attr-defined]
 
 
 def _component(c: Process, defs: DefTable, memo: dict) -> list:
@@ -145,7 +150,7 @@ def _component(c: Process, defs: DefTable, memo: dict) -> list:
     moves = memo.get(c)
     if moves is None:
         moves = memo[c] = [
-            (lab, _flat(canonicalize(q), Par)) for lab, q in _alpha(c, defs, memo)
+            (lab, _components(canonicalize(q))) for lab, q in _alpha(c, defs, memo)
         ]
     return moves
 
@@ -154,18 +159,18 @@ def _alpha(p: Process, defs: DefTable, memo: dict) -> list[tuple[Label, Process]
     """Instantaneous steps: communication, synchronization, unfolding.
 
     p is canonical: a component of a canonical state, or a branch, body
-    or current branch of one.  A nest of sums is walked as one list of
-    branches.  A composition, here always one under another node, is
-    stepped by `_compose_moves` from the components' moves in `memo`.
+    or current branch of one.  A sum's moves are its branches'.  A
+    composition, here always one under another node, is stepped by
+    `_compose_moves` from the components' moves in `memo`.
     """
     match p:
         case Nil():
             return []
         case Prefix(pol, a, k):
             return [(Label(pol, a), k)]
-        case Sum(_, _):
-            return [m for q in _flat(p, Sum) for m in _alpha(q, defs, memo)]
-        case Par(_, _):
+        case Sum():
+            return [m for q in p.parts for m in _alpha(q, defs, memo)]
+        case Par():
             return _compose_moves(p, defs, memo)
         case Restrict(a, b):
             return [
@@ -192,10 +197,8 @@ def _tick(p: Process) -> Process:
     match p:
         case Nil() | Prefix(_, _, _):
             return p
-        case Sum(_, _):
-            return _rebuild([_tick(q) for q in _flat(p, Sum)], Sum)
-        case Par(_, _):
-            return _rebuild([_tick(q) for q in _flat(p, Par)], Par)
+        case Sum() | Par():
+            return type(p)(*[_tick(q) for q in p.parts])
         case Restrict(a, b):
             return Restrict(a, _tick(b))
         case ElseNext(_, later):
@@ -224,16 +227,16 @@ def commitments(p: Process, defs: DefTable) -> frozenset[Label] | None:
             return frozenset()
         case Prefix(pol, a, _):
             return frozenset({Label(pol, a)})
-        case Sum(l, r) | Par(l, r):
-            cl = commitments(l, defs)
-            if cl is None:
-                return None
-            cr = commitments(r, defs)
-            if cr is None:
-                return None
-            if type(p) is Par and any(lab.co() in cr for lab in cl):
-                return None
-            return cl | cr
+        case Sum() | Par():
+            acc: set[Label] = set()
+            for q in p.parts:
+                c = commitments(q, defs)
+                if c is None:
+                    return None
+                if type(p) is Par and any(lab.co() in acc for lab in c):
+                    return None
+                acc |= c
+            return frozenset(acc)
         case Restrict(a, b):
             cb = commitments(b, defs)
             if cb is None:

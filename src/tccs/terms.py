@@ -3,7 +3,9 @@
 A process is an immutable tree built from seven constructors:
 inaction, communication prefix, sum, parallel composition, name
 restriction, identifier call, and else_next (run the first operand
-in the current instant, switch to the second when time passes).
+in the current instant, switch to the second when time passes).  A
+sum or composition is one node holding all its operands, with a
+binary view (`left`, `right`) for code that walks it two at a time.
 
 Two name spaces coexist.  User names match [a-z][a-zA-Z0-9_]* and
 come from source text; machine names are rendered #1, #2, ... and
@@ -20,12 +22,13 @@ which keeps capture checks cheap, and caches its printed form on first
 use, which is the sort key of canonical forms and of successor lists.
 It also caches its canonical form on first use, in the style of the
 per-node memo tables that hash-consing makes safe.  `compose` builds a
-canonical composition from canonical operands: a successor of a
-canonical state shares every component but the ones that moved, so it
-is composed from those as they are and the canonical forms of the
-moved ones, without canonicalizing the whole again.  The same renaming
-instantiates a call: the canonical form of a definition's body with
-arguments for parameters is one pass of it (`Definition.instance`).
+canonical composition, one node, from canonical operands: a successor
+of a canonical state shares every component but the ones that moved,
+so it is composed from those as they are and the canonical forms of
+the moved ones, without canonicalizing the whole again.  The same
+renaming instantiates a call: the canonical form of a definition's
+body with arguments for parameters is one pass of it
+(`Definition.instance`).
 """
 
 from __future__ import annotations
@@ -283,24 +286,48 @@ class Prefix(Process):
         self.free = cont.free | {name}
 
 
-class Sum(Process):
-    __slots__ = ("left", "right")
+class _Nest(Process):
+    """A sum or composition: one node holding its operands in order.
+
+    The constructor takes two or more operands and extends a nest of
+    its own class given first, so `Sum(Sum(a, b), c)` is `Sum(a, b, c)`;
+    a nest elsewhere came from parentheses and stays one operand.  So
+    nodes correspond one to one to binary trees leaning left, whose
+    view `left` and `right` build on demand.
+    """
+
+    __slots__ = ("parts",)
     __match_args__ = ("left", "right")
 
-    def _build(self, left: Process, right: Process) -> None:
-        self.left = left
-        self.right = right
-        self.free = left.free | right.free
+    def __new__(cls, first, second, *rest):
+        if type(first) is cls:
+            return Process.__new__(cls, *first.parts, second, *rest)
+        return Process.__new__(cls, first, second, *rest)
+
+    def _build(self, *parts: Process) -> None:
+        self.parts = parts
+        # `|` of two sets is much cheaper than `union`, and most nests have two
+        free = parts[0].free | parts[1].free
+        self.free = free.union(*[q.free for q in parts[2:]]) if parts[2:] else free
+
+    def __reduce__(self):
+        return type(self), self.parts
+
+    @property
+    def left(self) -> Process:
+        return _rebuild(self.parts[:-1], type(self))
+
+    @property
+    def right(self) -> Process:
+        return self.parts[-1]
 
 
-class Par(Process):
-    __slots__ = ("left", "right")
-    __match_args__ = ("left", "right")
+class Sum(_Nest):
+    __slots__ = ()
 
-    def _build(self, left: Process, right: Process) -> None:
-        self.left = left
-        self.right = right
-        self.free = left.free | right.free
+
+class Par(_Nest):
+    __slots__ = ()
 
 
 class Restrict(Process):
@@ -454,9 +481,8 @@ def all_names(p: Process) -> frozenset[str]:
             case Prefix(_, a, k):
                 acc.add(a)
                 stack.append(k)
-            case Sum(l, r) | Par(l, r):
-                stack.append(l)
-                stack.append(r)
+            case Sum() | Par():
+                stack.extend(q.parts)
             case Restrict(a, b):
                 acc.add(a)
                 stack.append(b)
@@ -486,10 +512,8 @@ def substitute(p: Process, mapping: dict[str, str]) -> Process:
         match q:
             case Prefix(pol, a, k):
                 return Prefix(pol, relevant.get(a, a), go(k, relevant))
-            case Sum(l, r):
-                return Sum(go(l, relevant), go(r, relevant))
-            case Par(l, r):
-                return Par(go(l, relevant), go(r, relevant))
+            case Sum() | Par():
+                return type(q)(*[go(r, relevant) for r in q.parts])
             case Restrict(a, b):
                 inner = {x: y for x, y in relevant.items() if x != a}
                 if a in inner.values():
@@ -521,10 +545,10 @@ def pretty(p: Process) -> str:
 def _pp(p: Process, level: int) -> str:
     # level 0: composition, 1: sum, 2: prefix operand.  The text at
     # level 0 is cached on the node; the other levels at most add
-    # parentheses around it.  A nest of sums or compositions prints
-    # along its left spine in one frame, so a wide term prints at any
-    # width; elsewhere it is one frame per term level, and the cache
-    # does not lower the depth of the terms that print.
+    # parentheses around it.  A nest prints its operands in one frame,
+    # so a wide term prints at any width; elsewhere it is one frame per
+    # term level, and the cache does not lower the depth of the terms
+    # that print.
     text = p._text
     if text is None:
         match p:
@@ -533,19 +557,11 @@ def _pp(p: Process, level: int) -> str:
             case Prefix(pol, a, k):
                 act = a if pol == "in" else "'" + a
                 text = "%s.%s" % (act, _pp(k, 2))
-            case Sum(_, _) | Par(_, _):
-                cls = type(p)
-                # a left operand prints one level looser than a right one
-                sep, rlevel = (" + ", 2) if cls is Sum else (" | ", 1)
-                spine = []
-                q = p
-                while type(q) is cls and q._text is None:
-                    spine.append(q)
-                    q = q.left  # type: ignore[attr-defined]
-                text = _pp(q, rlevel - 1)
-                for q in reversed(spine):
-                    text = "%s%s%s" % (text, sep, _pp(q.right, rlevel))
-                    q._text = text
+            case Sum() | Par():
+                # the first operand prints one level looser than the rest
+                sep, inner = (" + ", 2) if type(p) is Sum else (" | ", 1)
+                first, *rest = p.parts
+                text = sep.join([_pp(first, inner - 1)] + [_pp(q, inner) for q in rest])
             case Restrict(a, b):
                 text = "new %s. %s" % (a, _pp(b, 2))
             case Call(ident, args):
@@ -603,17 +619,11 @@ def _canon(p: Process, ren: dict[str, str]) -> Process:
             c = Call(f, tuple(ren.get(a, a) for a in args))
         case Prefix(pol, a, k):
             c = Prefix(pol, ren.get(a, a), _canon(k, ren))
-        case Sum(_, _):
-            # a branch may canonicalize into a sum itself, so flatten again
-            parts = [
-                r for q in _flat(p, Sum) for r in _flat(_canon(q, ren), Sum)
-            ]
-            parts.sort(key=pretty)
-            c = _rebuild(parts, Sum)
-        case Par(_, _):
-            c = compose(
-                [r for q in _flat(p, Par) for r in _flat(_canon(q, ren), Par)]
-            )
+        case Sum() | Par():
+            # an operand may canonicalize into a nest itself, so flatten again
+            cls = type(p)
+            parts = [r for q in _flat(p, cls) for r in _flat(_canon(q, ren), cls)]
+            c = compose(parts) if cls is Par else Sum(*sorted(parts, key=pretty))
         case Restrict(a, b):
             if a not in b.free:
                 c = _canon(b, ren)
@@ -644,7 +654,7 @@ def _canon(p: Process, ren: dict[str, str]) -> Process:
 
 
 def _flat(p: Process, cls: type) -> list[Process]:
-    # the operands of a nest of `cls` nodes, left to right
+    # the operands of `p` as a nest of `cls`, through parenthesized ones too
     if type(p) is not cls:
         return [p]
     parts = []
@@ -652,18 +662,15 @@ def _flat(p: Process, cls: type) -> list[Process]:
     while stack:
         q = stack.pop()
         if type(q) is cls:
-            stack.append(q.right)  # type: ignore[attr-defined]
-            stack.append(q.left)  # type: ignore[attr-defined]
+            stack.extend(reversed(q.parts))  # type: ignore[attr-defined]
         else:
             parts.append(q)
     return parts
 
 
-def _rebuild(parts: list[Process], cls: type) -> Process:
-    acc = parts[0]
-    for q in parts[1:]:
-        acc = cls(acc, q)
-    return acc
+def _rebuild(parts: list[Process] | tuple[Process, ...], cls: type) -> Process:
+    # the nest of `cls` over one or more operands
+    return cls(*parts) if len(parts) > 1 else parts[0]
 
 
 def compose(parts: list[Process]) -> Process:
@@ -671,15 +678,15 @@ def compose(parts: list[Process]) -> Process:
 
     No operand may be a composition itself.  Inert operands are
     dropped and the others sorted by printed form, so this is the one
-    place that builds a canonical composition; a new composition is
-    marked as its own canonical form, and a lone operand is returned
-    as it is.
+    place that builds a canonical composition; it is one node, marked
+    as its own canonical form, and a lone operand is returned as it
+    is.
     """
     parts = [q for q in parts if q is not NIL]
     if len(parts) < 2:
         return parts[0] if parts else NIL
     parts.sort(key=pretty)
-    c = _rebuild(parts, Par)
+    c = Par(*parts)
     c._canonical = _CANONICAL
     return c
 
@@ -712,7 +719,7 @@ def _is_ccs(p: Process, defs: DefTable, seen: set[str]) -> bool:
             return True
         case Prefix(_, _, k):
             return _is_ccs(k, defs, seen)
-        case Sum(_, _) | Par(_, _):
+        case Sum() | Par():
             return all(_is_ccs(q, defs, seen) for q in _flat(p, type(p)))
         case Restrict(_, b):
             return _is_ccs(b, defs, seen)
@@ -730,7 +737,7 @@ def _is_sl(p: Process, defs: DefTable, seen: set[str]) -> bool:
     match p:
         case Nil():
             return True
-        case Par(_, _):
+        case Par():
             return all(_is_sl(q, defs, seen) for q in _flat(p, Par))
         case Restrict(_, b):
             return _is_sl(b, defs, seen)

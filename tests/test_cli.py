@@ -344,6 +344,17 @@ def test_a_wide_composition_under_a_restriction_steps(tmp_path, capsys):
     assert out == "states: 1\n  0: new #1. (%s)  stable, commits {}\nedges:\n  0 -tick-> 0\n" % body
 
 
+def test_a_wide_composition_of_distinct_operands_steps(tmp_path, capsys):
+    # every operand moves, so the first state has 1500 targets; each is
+    # composed as one node, not as a spine of 1499 binary ones
+    f = tmp_path / "wide.tccs"
+    parts = ["n%d.'n%d.0" % (i, i) for i in range(1500)]
+    f.write_text("P = %s;\n" % " | ".join(parts), encoding="ascii")
+    assert main(["lts", str(f), "-p", "P", "--bound", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("states: 5  (truncated)\n")
+
+
 def test_a_deep_nest_of_restricted_compositions_steps(tmp_path, capsys):
     # each level steps its composition through the component path, a
     # few frames per level: `tccs lts` runs 197 levels of this to the

@@ -17,7 +17,7 @@ from tccs import (
     substitute,
     verify_lts_laws,
 )
-from tccs.lts import Lts, to_dot, to_json
+from tccs.lts import Lts, commitments, to_dot, to_json
 from tccs.terms import (
     TAU,
     TICK,
@@ -166,6 +166,22 @@ def test_verify_laws_checks_the_edges_against_the_rules():
     assert verify_lts_laws(broken) == [
         "state %d (a.0): commits {a} but offers {a, b}" % root
     ]
+
+
+def test_wide_nests_commit_and_keep_the_laws():
+    # a sum or composition is one node, so neither the commitment rules
+    # nor the laws walk a frame per operand
+    wide_par = " | ".join(["a.0"] * 1500)
+    wide_sum = " + ".join(["a.0"] * 3000)
+    par, defs = parse_proc(wide_par)
+    assert commitments(par, defs) == {inp("a")}
+    assert commitments(parse_proc(wide_par + " | 'a.0")[0], defs) is None
+    # the bare composition's graph has 1501 states; restricted, it has one
+    for src, want in ((wide_sum, {inp("a")}), ("new a. (%s)" % wide_par, set())):
+        p, defs = parse_proc(src)
+        assert commitments(p, defs) == want
+        lts = build_lts([p], defs)
+        assert not lts.truncated and verify_lts_laws(lts) == []
 
 
 def _unfolds_as_the_reference(ident, args, defs):

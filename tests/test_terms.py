@@ -5,6 +5,7 @@ import gc
 import pickle
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import canonical
@@ -21,6 +22,7 @@ from tccs.generate import GenConfig, random_ccs_term, random_sl_program, random_
 from tccs.lts import step
 from tccs.terms import (
     NIL,
+    ElseNext,
     Label,
     Par,
     Prefix,
@@ -192,6 +194,53 @@ def test_substitute_avoids_capture():
     assert q.body == Prefix("in", "a", Prefix("out", q.name, NIL))
 
 
+def test_wide_nests_substitute_and_copy_as_one_node():
+    # each nest is one node, so renaming and copying take no frame per
+    # operand
+    wide_par, _ = parse_proc(" | ".join(["a.0"] * 1500))
+    wide_sum, _ = parse_proc(" + ".join(["a.0"] * 3000))
+    for p in (wide_par, wide_sum):
+        q = substitute(p, {"a": "b"})
+        assert q.free == {"b"} and q.parts == (Prefix("in", "b", NIL),) * len(p.parts)
+    assert pickle.loads(pickle.dumps(wide_sum)) is wide_sum
+    assert copy.deepcopy(wide_sum) is wide_sum
+
+
+def test_a_nest_is_one_node_with_a_binary_view():
+    a, b, c = (Prefix("in", x, NIL) for x in "abc")
+    assert Sum(Sum(a, b), c) is Sum(a, b, c)
+    assert Sum(a, Sum(b, c)).parts == (a, Sum(b, c))
+    assert Sum(a, b, c).left is Sum(a, b) and Sum(a, b, c).right is c
+    with pytest.raises(TypeError):
+        Par(a)
+
+
+@given(seeds)
+@settings(max_examples=200, deadline=None)
+def test_the_binary_view_rebuilds_every_nest(seed):
+    p, _ = random_term(random.Random(seed), CFG)
+    stack = [p]
+    while stack:
+        match stack.pop():
+            case Sum() | Par() as x:
+                assert type(x)(x.left, x.right) is x
+                stack += x.parts
+            case Prefix(_, _, k) | Restrict(_, k):
+                stack.append(k)
+            case ElseNext(n, l):
+                stack += [n, l]
+
+
+def test_labels_check_their_kind_and_name():
+    for kind, name, message in (
+        ("in", None, "communication label needs a name"),
+        ("tau", "a", "tau carries no name"),
+        ("send", "a", "bad label kind 'send'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Label(kind, name)
+
+
 def test_canonical_forms_commute_drop_units_and_dead_binders():
     a, b = Prefix("in", "a", NIL), Prefix("in", "b", NIL)
     assert canonicalize(Sum(b, a)) == canonicalize(Sum(a, b))
@@ -208,8 +257,6 @@ def test_name_supply_skips_avoided_and_never_repeats():
 
 
 def test_make_tau_rejects_a_name_free_in_the_continuation():
-    import pytest
-
     with pytest.raises(ValueError):
         make_tau(Prefix("in", "a", NIL), "a")
 
