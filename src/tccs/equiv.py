@@ -51,12 +51,12 @@ those pairs, and `explain` prints each of them once, root first.
 `falsify_with_context` is the contextual side of the story: a bounded
 enumeration of static contexts over a fixed tester family.  It only
 ever reports sound distinctions; exhausting the enumeration proves
-nothing.  Besides disagreement on may-convergence (which coincides
-with weak-tick availability at the root) and on root barbs, it
-compares the families of ready sets of the settled states reachable by
-internal steps; related processes must match those families exactly,
-so any mismatch is a genuine distinction even when the root barb sets
-coincide.
+nothing.  It compares may-convergence (weak tick at the root), root
+barbs and the families of ready sets of the settled states reachable
+by internal steps; related processes must match those families
+exactly, so a mismatch is a genuine distinction even when the barbs
+coincide.  All three are facts of the tau-reachable states, so each
+plugged pair is explored by tau moves from its roots, not built.
 """
 
 from __future__ import annotations
@@ -65,10 +65,12 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .analyses import _bits, _label_set, analysis, may_converge
+# may_converge is unused here, but perfbench's traced run rebinds it here
+from .analyses import _bits, _label_set, analysis, may_converge  # noqa: F401
 from .lts import BoundExceeded, Lts, build_lts
 from .terms import (
     NIL,
+    TAU,
     DefTable,
     HOLE,
     Label,
@@ -548,37 +550,47 @@ def _testers(p: Process, q: Process, supply: NameSupply) -> list[Process]:
     return testers
 
 
-def _ready_families(
-    lts: Lts, root: int
-) -> frozenset[frozenset[Label]]:
-    """Ready sets of the settled states tau-reachable from the root."""
-    tclo = analysis(lts).tau_closure
-    fams = set()
-    for i in _bits(tclo[root]):
-        if lts.stable[i]:
-            commit = lts.commit[i]
-            assert commit is not None
-            fams.add(commit)
-    return frozenset(fams)
+def _settled_families(
+    pair: tuple[Process, Process], defs: DefTable, memo: dict, bound: int, step
+) -> list[frozenset[frozenset[Label]]] | None:
+    """Per root, the ready sets of the settled states it reaches by tau
+    moves of `step`, depth first; None past `bound` stepped states.
+    The two searches step each state once between them."""
+    stepped: dict[Process, tuple] = {}
+    fams = []
+    for root in pair:
+        fam = set()
+        todo, done = [root], {root}
+        while todo:
+            s = todo.pop()
+            if s not in stepped:
+                if len(stepped) >= bound:
+                    return None
+                out = step(s, defs, memo)
+                taus = [t for lab, t in out if lab is TAU]
+                ready = frozenset(lab for lab, _ in out if lab.is_comm)
+                stepped[s] = taus, ready
+            taus, ready = stepped[s]
+            if not taus:
+                fam.add(ready)
+            todo += [t for t in taus if t not in done]
+            done.update(taus)
+        fams.append(frozenset(fam))
+    return fams
 
 
-def _distinguish(lts: Lts) -> str | None:
-    """Why the two roots of a full graph visibly differ, if they do."""
-    r0, r1 = lts.roots
-    c0 = may_converge(lts, r0)
-    c1 = may_converge(lts, r1)
+def _distinguish(f0: frozenset, f1: frozenset) -> str | None:
+    """Why two processes visibly differ, if they do, given the families
+    of their settled ready sets: a process may converge when its family
+    is not empty, and its barbs are the family's union."""
+    c0, c1 = (str(bool(f)).lower() for f in (f0, f1))
     if c0 != c1:
-        return "may-converge disagrees: left=%s right=%s" % (
-            str(c0).lower(), str(c1).lower()
-        )
-    b0 = analysis(lts).barbs[r0]
-    b1 = analysis(lts).barbs[r1]
+        return "may-converge disagrees: left=%s right=%s" % (c0, c1)
+    b0, b1 = (frozenset().union(*f) for f in (f0, f1))
     if b0 != b1:
         return "root barbs disagree: left=%s right=%s" % (
             _label_set(b0), _label_set(b1)
         )
-    f0 = _ready_families(lts, r0)
-    f1 = _ready_families(lts, r1)
     if f0 != f1:
         odd = sorted(_label_set(fam) for fam in f0 ^ f1)
         return "settled ready sets disagree: unmatched %s" % ", ".join(odd)
@@ -600,24 +612,31 @@ def falsify_with_context(
     distinguishing when the two plugged processes disagree on
     may-convergence (equivalently, on weak tick at the root), on root
     barbs, or on the families of ready sets of their settled
-    tau-reachable states.  Any returned context is a sound witness of
-    inequivalence; None means only that this enumeration found none.
-    Contexts whose graphs exceed the bound are skipped (and reported
-    through `skipped` when given), not treated as evidence.  Each
-    distinct pair of canonical plugged processes is built once; a
-    context that plugs to one again shares its outcome.
+    tau-reachable states: facts read from the tau-reachable states,
+    the only ones stepped, so no graph is built.  Any returned context
+    is a sound witness of inequivalence; None means only that this
+    enumeration found none.  A context whose plugged pair has more
+    tau-reachable states than the bound, the states explored, is
+    skipped (and reported through `skipped` when given), not treated
+    as evidence.  Each distinct pair of canonical plugged processes is
+    explored once, not built; a context that plugs to one again shares
+    its outcome.
     """
+    from .lts import step  # per call: a traced run rebinds tccs.lts.step
+
     defs = defs.copy() if defs is not None else DefTable()
     ensure_builtins(defs, omega=True)
-    supply = NameSupply(avoid=all_names(p) | all_names(q))
-    testers = _testers(p, q, supply)
     names = sorted(p.free | q.free)
 
-    # each distinct plugged pair is built once: whether its graph was
-    # truncated, for the contexts that plug to it again
-    built: dict[tuple[Process, Process], bool] = {}
+    # each distinct plugged pair is explored once: whether it exceeded
+    # the bound, for the contexts that plug to it again; one memo of
+    # component moves serves every pair
+    memo: dict = {}
+    explored: dict[tuple[Process, Process], bool] = {}
     level: list[StaticContext] = [HOLE]
     for d in range(depth + 1):
+        if d == 1:
+            testers = _testers(p, q, NameSupply(all_names(p) | all_names(q)))
         if d:
             level = [
                 child
@@ -627,15 +646,15 @@ def falsify_with_context(
             ]
         for ctx in level:
             pair = (canonicalize(plug(ctx, p)), canonicalize(plug(ctx, q)))
-            truncated = built.get(pair)
-            if truncated is None:
-                lts = build_lts(list(pair), defs, bound)
-                truncated = built[pair] = lts.truncated
-                if not truncated:
-                    found = _distinguish(lts)
+            over = explored.get(pair)
+            if over is None:
+                fams = _settled_families(pair, defs, memo, bound, step)
+                over = explored[pair] = fams is None
+                if not over:
+                    found = _distinguish(*fams)
                     if found is not None:
                         return ctx, found
-            if truncated and skipped is not None:
+            if over and skipped is not None:
                 skipped.append(pretty_context(ctx))
     return None
 

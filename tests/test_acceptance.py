@@ -314,15 +314,10 @@ def test_criterion_8_falsifier_soundness():
     rng = random.Random(SEED + 8)
     cfg = GenConfig(depth=3, max_defs=1)
     found = 0
-    done = 0
-    while done < 500:
+    for _ in range(500):
         p, q, defs = random_pair(rng, cfg)
-        try:
-            hit = falsify_with_context(p, q, defs, depth=1, bound=500)
-        except BoundExceeded:
-            continue
+        hit = falsify_with_context(p, q, defs, depth=1, bound=500)
         if hit is not None:
             assert not check(p, q, CONV, defs, bound=4000).related
             found += 1
-        done += 1
     _line(8, "500 pairs, %d contexts found, all confirmed" % found)

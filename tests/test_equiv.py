@@ -1,13 +1,17 @@
 """The four games: goldens, certificates, oracle agreement, falsifier."""
 
 import functools
+import importlib.util
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tccs.equiv
+import tccs.lts
 from oracles import CONV_CCS, Oracle, hand_built, ring_program
 from tccs import (
     BoundExceeded,
@@ -24,10 +28,16 @@ from tccs import (
     weak,
 )
 from tccs.equiv import (
-    CONV, CONV_DIV, MODES, USUAL, USUAL_UNTIMED, _classes, _cone, _eliminate
+    CONV, CONV_DIV, MODES, USUAL, USUAL_UNTIMED, _classes, _cone, _eliminate,
+    _settled_families, _testers,
 )
 from tccs.generate import GenConfig, random_pair, related_pair
-from tccs.terms import TAU, TICK, Label, canonicalize, inp
+from tccs.terms import (
+    HOLE, TAU, TICK, Label, NameSupply, ParWith, RestrictCtx, all_names,
+    canonicalize, ensure_builtins, inp, plug,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -469,42 +479,112 @@ def test_oversized_plugs_are_skipped_not_fatal():
     assert skipped, "a tiny bound must force skips"
 
 
-def _count_builds(monkeypatch) -> dict:
-    """Wrap the falsifier's graph builder; the result maps each root
-    pair built to the truncation flags of its builds."""
-    builds: dict[tuple, list[bool]] = {}
-    real = tccs.equiv.build_lts
+def _count_steps(monkeypatch) -> dict:
+    """Wrap `tccs.lts.step`; the result maps each plugged pair the
+    falsifier explores to the states it stepped for it, in order.
 
-    def counted(roots, *args, **kwargs):
-        lts = real(roots, *args, **kwargs)
-        key = tuple(canonicalize(r) for r in roots)
-        builds.setdefault(key, []).append(lts.truncated)
-        return lts
+    The pair is read from the caller's frame, the falsifier's search,
+    which steps each state once per exploration, its left root first:
+    a pair explored twice would step that root twice.
+    """
+    steps: dict[tuple, list] = {}
+    real = tccs.lts.step
 
-    monkeypatch.setattr(tccs.equiv, "build_lts", counted)
-    return builds
+    def counted(p, *args, **kwargs):
+        pair = sys._getframe(1).f_locals["pair"]
+        steps.setdefault(pair, []).append(p)
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(tccs.lts, "step", counted)
+    return steps
 
 
-def test_falsifier_builds_each_plugged_pair_once(monkeypatch):
+def test_falsifier_explores_each_plugged_pair_once(monkeypatch):
     p, q, defs = _pair("a.0 | Omega", "Omega")
-    builds = _count_builds(monkeypatch)
+    steps = _count_steps(monkeypatch)
     assert falsify_with_context(p, q, defs, depth=2) is None
-    assert all(len(flags) == 1 for flags in builds.values())
+    assert steps, "the falsifier stepped no state through tccs.lts.step"
+    assert all(len(set(states)) == len(states) for states in steps.values())
     # one free name: six testers and one restriction per layer, so
     # 1 + 7 + 49 contexts, of which [] | t | u and [] | u | t plug alike
-    assert len(builds) < 1 + 7 + 49
+    assert len(steps) < 1 + 7 + 49
 
 
 def test_a_repeated_oversized_plug_is_skipped_again(monkeypatch):
     p, q, defs = _pair("a.b.0", "a.0")
-    builds = _count_builds(monkeypatch)
+    steps = _count_steps(monkeypatch)
     skipped = []
     found = falsify_with_context(p, q, defs, depth=2, bound=2, skipped=skipped)
+    monkeypatch.undo()
     assert found is None
-    assert all(len(flags) == 1 for flags in builds.values())
-    truncated = sum(flags[0] for flags in builds.values())
+    assert steps, "the falsifier stepped no state through tccs.lts.step"
+    assert all(len(set(states)) == len(states) for states in steps.values())
+    # a pair is over the bound when its roots tau-reach more states
+    ensure_builtins(defs, omega=True)
+    over = 0
+    for pair in steps:
+        lts = build_lts(list(pair), defs)
+        tau_star = Oracle(lts).tau_star
+        over += len(set().union(*(tau_star[r] for r in lts.roots))) > 2
+    assert over
     # each context is reported once, a repeated one too
-    assert len(set(skipped)) == len(skipped) > truncated
+    assert len(set(skipped)) == len(skipped) > over
+
+
+@pytest.mark.parametrize("allow_else", [False, True])
+def test_settled_families_agree_with_the_oracle(allow_else):
+    """Each root's may-converge, barbs and ready family, as the falsifier
+    reads them from its tau-reachable states, are the oracle's on the
+    full graph, for the roots of random pairs and of their depth-1
+    plugged pairs; every hit at a small bound is a conv distinction."""
+    rng = random.Random(2022 + allow_else)
+    cfg = GenConfig(depth=3, max_defs=1, allow_else=allow_else)
+    hits = 0
+    for _ in range(60):
+        p, q, defs = random_pair(rng, cfg)
+        defs = defs.copy()
+        ensure_builtins(defs, omega=True)
+        supply = NameSupply(all_names(p) | all_names(q))
+        contexts = [HOLE]
+        contexts += [ParWith(HOLE, t) for t in _testers(p, q, supply)]
+        contexts += [RestrictCtx(a, HOLE) for a in sorted(p.free | q.free)]
+        for ctx in contexts:
+            pair = (canonicalize(plug(ctx, p)), canonicalize(plug(ctx, q)))
+            lts = build_lts(list(pair), defs, bound=2000)
+            if lts.truncated:
+                continue
+            orc = Oracle(lts)
+            fams = _settled_families(pair, defs, {}, 10000, tccs.lts.step)
+            for r, fam in zip(lts.roots, fams):
+                ready = {lts.commit[s] for s in orc.tau_star[r] if lts.stable[s]}
+                assert (bool(fam), frozenset().union(*fam), fam) == (
+                    orc.conv[r], orc.barbs[r], ready
+                )
+        if falsify_with_context(p, q, defs, depth=1, bound=40) is not None:
+            assert not check(p, q, CONV, defs, bound=10000).related
+            hits += 1
+    assert hits
+
+
+def test_the_traced_run_can_rebind_the_falsifier_boundary():
+    """The benchmark's traced run swaps four module attributes for
+    wrapped ones around each query; they must exist, and the
+    falsifier's steps must go through the rebound `tccs.lts.step`."""
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    boundary = [(tccs.lts, "step"), (tccs.equiv, "build_lts"),
+                (tccs.equiv, "analysis"), (tccs.equiv, "may_converge")]
+    before = [getattr(mod, attr) for mod, attr in boundary]
+    assert all(map(callable, before))
+    tracer = tracing.Tracer()
+    p, q, defs = _pair("a.(b.0 + c.0)", "a.b.0 + a.c.0")
+    with tracing.rebound(tracer):
+        assert falsify_with_context(p, q, defs, depth=1) is not None
+    assert tracer.totals()["step"][0] > 0
+    assert [getattr(mod, attr) for mod, attr in boundary] == before
 
 
 @given(seeds)
@@ -512,10 +592,7 @@ def test_a_repeated_oversized_plug_is_skipped_again(monkeypatch):
 def test_falsifier_never_contradicts_the_checker(seed):
     rng = random.Random(seed)
     p, q, defs = random_pair(rng, GenConfig(depth=3, max_defs=1))
-    try:
-        found = falsify_with_context(p, q, defs, depth=1, bound=400)
-    except BoundExceeded:
-        return
+    found = falsify_with_context(p, q, defs, depth=1, bound=400)
     if found is not None:
         assert not check(p, q, CONV, defs, bound=2000).related
 
