@@ -226,7 +226,7 @@ def _sccs(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     n = len(succ)
     num = [-1] * n
     low = [0] * n
-    on = [False] * n
+    # a numbered state without a component is on the stack
     comp = [-1] * n
     stack: list[int] = []
     comps: list[list[int]] = []
@@ -234,42 +234,41 @@ def _sccs(succ: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     for root in range(n):
         if num[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, i = work[-1]
-            if i == 0:
-                num[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on[v] = True
-            descended = False
-            out = succ[v]
-            while i < len(out):
-                w = out[i]
-                i += 1
+        num[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        # the DFS path and an iterator over each of its states' edges,
+        # kept apart: a pair per frame would be one more object for the
+        # collector to count
+        path = [root]
+        outs = [iter(succ[root])]
+        while outs:
+            v = path[-1]
+            for w in outs[-1]:
                 if num[w] == -1:
-                    work[-1] = (v, i)
-                    work.append((w, 0))
-                    descended = True
+                    num[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    path.append(w)
+                    outs.append(iter(succ[w]))
                     break
-                if on[w]:
-                    low[v] = min(low[v], num[w])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == num[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on[w] = False
-                    comp[w] = len(comps)
-                    members.append(w)
-                    if w == v:
-                        break
-                comps.append(members)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if comp[w] == -1 and num[w] < low[v]:
+                    low[v] = num[w]
+            else:
+                path.pop()
+                outs.pop()
+                lv = low[v]
+                if lv == num[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        comp[w] = len(comps)
+                        members.append(w)
+                        if w == v:
+                            break
+                    comps.append(members)
+                elif lv < low[path[-1]]:
+                    low[path[-1]] = lv
     return comp, comps
 
 

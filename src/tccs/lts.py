@@ -25,18 +25,21 @@ composition node, a term that is not a composition being a
 composition of one: an edge swaps the component that moved, or the
 two that synchronized, for the operands of their memoized canonical
 targets, and `compose` builds the result as one node, instead of
-rebuilding and canonicalizing the whole state.  A composition under a
-restriction, sum or else_next, as in every encoded tau.P, has its
-moves composed by the same rule from the same memo.  The tick is one
-rule over the whole state, `_tick`, nested compositions included, and
-the memo holds no tick.  The tests check both rules against an
-independent reference that steps every term whole by the binary rules
-(`tests/oracles.py`).
+rebuilding and canonicalizing the whole state.  The memo keeps those
+operands printed, as `compose` takes them, and a communication's
+co-label beside its label: no label points at its co-label.  A
+composition under a restriction, sum or else_next, as in every
+encoded tau.P, has its moves composed by the same rule from the same
+memo.  The tick is one rule over the whole state, `_tick`, nested
+compositions included, and the memo holds no tick.  The tests check
+both rules against an independent reference that steps every term
+whole by the binary rules (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from .terms import (
+    NIL,
     TAU,
     TICK,
     Call,
@@ -96,9 +99,13 @@ def step(
     moves = _compose_moves(p, defs, memo)
     if not any(lab is TAU for lab, _ in moves):
         moves.append((TICK, canonicalize(_tick(p))))
-    return sorted(
-        dict.fromkeys(moves), key=lambda e: (e[0].sort_key(), pretty(e[1]))
-    )
+    return sorted(dict.fromkeys(moves), key=_move_key)
+
+
+def _move_key(move: tuple[Label, Process]) -> tuple:
+    # by label, then by printed target; `compose` prints what it builds
+    lab, q = move
+    return lab._sort_key, q._text or pretty(q)
 
 
 def _compose_moves(
@@ -122,15 +129,14 @@ def _compose_moves(
         if i and c is parts[i - 1]:
             continue
         head, tail = parts[:i], parts[i + 1 :]
-        for lab, new in comps[i]:
+        for lab, new, co in comps[i]:
             moves.append((lab, compose([*head, *new, *tail])))
-            if i == last or not lab.is_comm:
+            if co is None or i == last:
                 continue
-            co = lab.co()
             for j in range(i + 1, len(parts)):
                 if j > i + 1 and parts[j] is parts[j - 1]:
                     continue
-                for lab2, new2 in comps[j]:
+                for lab2, new2, _ in comps[j]:
                     if lab2 is co:
                         pair = [*head, *new, *parts[i + 1 : j], *new2, *parts[j + 1 :]]
                         moves.append((TAU, compose(pair)))
@@ -138,20 +144,28 @@ def _compose_moves(
 
 
 def _components(p: Process) -> tuple[Process, ...]:
-    # the operands of a canonical term's composition, or the term
-    return p.parts if type(p) is Par else (p,)  # type: ignore[attr-defined]
+    # the operands of a canonical term's composition, none of inaction,
+    # or the term
+    return p.parts if type(p) is Par else () if p is NIL else (p,)  # type: ignore
 
 
 def _component(c: Process, defs: DefTable, memo: dict) -> list:
     """A component's instantaneous moves, stored in `memo` under `c`.
 
-    Each target is the operand list of its canonical form.
+    Each entry is the label, the operands of the target's canonical
+    form, printed for `compose`, and the co-label of a communication,
+    None for tau.  The co-label lives here, in a memo that dies with
+    the call: labels pointing at their co-labels would form cycles.
     """
     moves = memo.get(c)
     if moves is None:
-        moves = memo[c] = [
-            (lab, _components(canonicalize(q))) for lab, q in _alpha(c, defs, memo)
-        ]
+        moves = []
+        for lab, q in _alpha(c, defs, memo):
+            new = _components(canonicalize(q))
+            for r in new:
+                pretty(r)
+            moves.append((lab, new, lab.co() if lab.is_comm else None))
+        memo[c] = moves
     return moves
 
 
@@ -221,31 +235,43 @@ def _tick(p: Process) -> Process:
 # are what `verify_lts_laws` checks the edges against.
 
 
-def commitments(p: Process, defs: DefTable) -> frozenset[Label] | None:
+def commitments(
+    p: Process, defs: DefTable, memo: dict | None = None
+) -> frozenset[Label] | None:
+    """The commitment set of p, None when p is not stable.
+
+    `memo` maps each operand of a sum or composition to its commitment
+    set and their co-labels, filled on first use; a caller asking about
+    many terms that share operands passes one, as `build_lts` passes
+    one to `step`.
+    """
     match p:
         case Nil():
             return frozenset()
         case Prefix(pol, a, _):
             return frozenset({Label(pol, a)})
         case Sum() | Par():
+            if memo is None:
+                memo = {}
             acc: set[Label] = set()
             for q in p.parts:
-                c = commitments(q, defs)
-                if c is None:
-                    return None
-                if type(p) is Par and any(lab.co() in acc for lab in c):
+                if q not in memo:
+                    c = commitments(q, defs, memo)
+                    memo[q] = c, None if c is None else frozenset(lab.co() for lab in c)
+                c, co = memo[q]
+                if c is None or (type(p) is Par and not acc.isdisjoint(co)):
                     return None
                 acc |= c
             return frozenset(acc)
         case Restrict(a, b):
-            cb = commitments(b, defs)
+            cb = commitments(b, defs, memo)
             if cb is None:
                 return None
             return frozenset(lab for lab in cb if lab.name != a)
         case Call(_, _):
             return None
         case ElseNext(now, _):
-            return commitments(now, defs)
+            return commitments(now, defs, memo)
     raise AssertionError("unreachable node %r" % p)
 
 
@@ -344,10 +370,8 @@ def build_lts(
     truncated = False
 
     def intern(p: Process) -> int | None:
+        # a new state's number, None past the bound
         nonlocal truncated
-        i = index.get(p)
-        if i is not None:
-            return i
         if len(terms) >= bound:
             truncated = True
             return None
@@ -358,9 +382,12 @@ def build_lts(
 
     root_ids: list[int] = []
     for r in roots:
-        i = intern(canonicalize(r))
+        r = canonicalize(r)
+        i = index.get(r)
         if i is None:
-            break
+            i = intern(r)
+            if i is None:
+                break
         root_ids.append(i)
 
     memo: dict = {}
@@ -370,9 +397,11 @@ def build_lts(
         frontier += 1
         edges: list[tuple[Label, int]] = []
         for lab, q in step(terms[i], defs, memo):
-            j = intern(q)
+            j = index.get(q)
             if j is None:
-                break
+                j = intern(q)
+                if j is None:
+                    break
             edges.append((lab, j))
         else:
             succ[i] = tuple(edges)
@@ -398,6 +427,17 @@ def verify_lts_laws(lts: Lts) -> list[str]:
     if lts.truncated:
         raise BoundExceeded("laws are only meaningful on a complete graph")
     report: list[str] = []
+    # each component's facts, derived once: a term is CCS when all its
+    # components are, and `commitments` composes from its memo
+    ccs: dict[Process, bool] = {}
+    memo: dict = {}
+
+    def is_ccs(c: Process) -> bool:
+        v = ccs.get(c)
+        if v is None:
+            v = ccs[c] = classify(c, lts.defs).is_ccs
+        return v
+
     for i, term in enumerate(lts.terms):
         if canonicalize(term) is not term:
             report.append("state %d (%s): not in canonical form" % (i, pretty(term)))
@@ -413,12 +453,12 @@ def verify_lts_laws(lts: Lts) -> list[str]:
             report.append(
                 "state %d (%s): %d tick successors" % (i, pretty(term), len(ticks))
             )
-        if ticks and classify(term, lts.defs).is_ccs and ticks[0] != i:
+        if ticks and ticks[0] != i and all(map(is_ccs, _components(term))):
             report.append(
                 "state %d (%s): ticks to %d instead of itself"
                 % (i, pretty(term), ticks[0])
             )
-        com = commitments(term, lts.defs)
+        com = commitments(term, lts.defs, memo)
         if (com is not None) != lts.stable[i]:
             report.append(
                 "state %d (%s): commitment %s but stable=%s"

@@ -25,14 +25,19 @@ per-node memo tables that hash-consing makes safe.  `compose` builds a
 canonical composition, one node, from canonical operands: a successor
 of a canonical state shares every component but the ones that moved,
 so it is composed from those as they are and the canonical forms of
-the moved ones, without canonicalizing the whole again.  The same
-renaming instantiates a call: the canonical form of a definition's
-body with arguments for parameters is one pass of it
-(`Definition.instance`).
+the moved ones, without canonicalizing the whole again.  Its operands
+must be printed already and none inert: it sorts them by their cached
+printed form and looks the result up in the intern table, building a
+node, printed from its operands, only on a miss.  `_canon` prints the
+operands it hands over and drops the inert ones; the stepper prints
+each target's operands once, when it memoizes them.  The same renaming
+instantiates a call: the canonical form of a definition's body with
+arguments for parameters is one pass of it (`Definition.instance`).
 """
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass
 
@@ -142,9 +147,12 @@ class Label:
     tick marks the passage to the next instant.  Labels are interned in
     the same weak table as process nodes, so `Label(kind, name)` returns
     the live label when there is one, and labels compare by identity.
+    A label holds no reference to its co-label, which would make a
+    cycle and keep both alive: `co()` looks it up, and the stepper
+    keeps co-labels in its per-call memo.
     """
 
-    __slots__ = ("kind", "name", "__weakref__")
+    __slots__ = ("kind", "name", "_sort_key", "__weakref__")
     __match_args__ = ("kind", "name")
 
     _RANK = {"in": 0, "out": 1, "tau": 2, "tick": 3}
@@ -167,6 +175,7 @@ class Label:
         lab = object.__new__(cls)
         lab.kind = kind
         lab.name = name
+        lab._sort_key = (cls._RANK[kind], name or "")
         entry = _table[key] = _Entry(lab, _forget)
         entry.key = key
         return lab
@@ -188,7 +197,7 @@ class Label:
         raise ValueError("%s has no co-label" % self.kind)
 
     def sort_key(self) -> tuple[int, str]:
-        return (self._RANK[self.kind], self.name or "")
+        return self._sort_key
 
     def __str__(self) -> str:
         if self.kind == "in":
@@ -227,11 +236,12 @@ class Process:
     alpha-variants are distinct terms until canonicalize renames their
     binders into the machine name space.  Each subclass's `_build`
     checks and fills its fields and `free`, the free name set, once per
-    distinct term; `_text` caches the printed form, filled by `pretty`.
-    `_canonical` caches the canonical form, filled by `canonicalize`:
-    None until known, the module marker `_CANONICAL` when the node is
-    its own canonical form (a node never points at itself, which would
-    be a reference cycle), and otherwise the canonical node.  Inside a
+    distinct term, and `_new_nest` does so for sums and compositions;
+    `_text` caches the printed form, filled by `pretty`.  `_canonical`
+    caches the canonical form, filled by `canonicalize`: None until
+    known, the module marker `_CANONICAL` when the node is its own
+    canonical form (a node never points at itself, which would be a
+    reference cycle), and otherwise the canonical node.  Inside a
     binder `_canon` reads or fills it only when no name it is renaming
     is free in the node, because only then is the canonical form of the
     node the one wanted there.
@@ -300,15 +310,17 @@ class _Nest(Process):
     __match_args__ = ("left", "right")
 
     def __new__(cls, first, second, *rest):
+        # the table lookup of `Process.__new__`, in this frame
         if type(first) is cls:
-            return Process.__new__(cls, *first.parts, second, *rest)
-        return Process.__new__(cls, first, second, *rest)
-
-    def _build(self, *parts: Process) -> None:
-        self.parts = parts
-        # `|` of two sets is much cheaper than `union`, and most nests have two
-        free = parts[0].free | parts[1].free
-        self.free = free.union(*[q.free for q in parts[2:]]) if parts[2:] else free
+            key = (cls, *first.parts, second, *rest)
+        else:
+            key = (cls, first, second, *rest)
+        entry = _table.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        return _new_nest(key)
 
     def __reduce__(self):
         return type(self), self.parts
@@ -320,6 +332,21 @@ class _Nest(Process):
     @property
     def right(self) -> Process:
         return self.parts[-1]
+
+
+def _new_nest(key: tuple) -> _Nest:
+    # build and intern the nest `key`, its class and operands, absent
+    # from the table
+    node = object.__new__(key[0])
+    node.parts = parts = key[1:]
+    # `|` of two sets is much cheaper than `union`, and most nests have two
+    free = parts[0].free | parts[1].free
+    node.free = free.union(*[q.free for q in parts[2:]]) if len(parts) > 2 else free
+    node._text = None
+    node._canonical = None
+    entry = _table[key] = _Entry(node, _forget)
+    entry.key = key
+    return node
 
 
 class Sum(_Nest):
@@ -620,10 +647,15 @@ def _canon(p: Process, ren: dict[str, str]) -> Process:
         case Prefix(pol, a, k):
             c = Prefix(pol, ren.get(a, a), _canon(k, ren))
         case Sum() | Par():
-            # an operand may canonicalize into a nest itself, so flatten again
+            # an operand may canonicalize into a nest itself, so flatten
+            # again; sorting prints the operands, as `compose` needs them
             cls = type(p)
             parts = [r for q in _flat(p, cls) for r in _flat(_canon(q, ren), cls)]
-            c = compose(parts) if cls is Par else Sum(*sorted(parts, key=pretty))
+            parts.sort(key=pretty)
+            if cls is Par:
+                c = compose([q for q in parts if q is not NIL])
+            else:
+                c = Sum(*parts)
         case Restrict(a, b):
             if a not in b.free:
                 c = _canon(b, ren)
@@ -673,20 +705,30 @@ def _rebuild(parts: list[Process] | tuple[Process, ...], cls: type) -> Process:
     return cls(*parts) if len(parts) > 1 else parts[0]
 
 
+_printed = operator.attrgetter("_text")
+
+
 def compose(parts: list[Process]) -> Process:
     """The canonical composition of canonical operands.
 
-    No operand may be a composition itself.  Inert operands are
-    dropped and the others sorted by printed form, so this is the one
-    place that builds a canonical composition; it is one node, marked
-    as its own canonical form, and a lone operand is returned as it
-    is.
+    The operands must be canonical and printed, and none may be inert
+    or a composition itself.  They are sorted by their cached printed
+    form, so this is the one place that builds a canonical composition;
+    it is one node, looked up in the intern table and built, and
+    printed, only when absent, and marked as its own canonical form.  A lone operand is
+    returned as it is, and no operand gives inaction.
     """
-    parts = [q for q in parts if q is not NIL]
     if len(parts) < 2:
         return parts[0] if parts else NIL
-    parts.sort(key=pretty)
-    c = Par(*parts)
+    parts.sort(key=_printed)
+    key = (Par, *parts)
+    entry = _table.get(key)
+    c = entry() if entry is not None else None
+    if c is None:
+        c = _new_nest(key)
+        # the text `_pp` gives it: no operand is a composition, so none
+        # is parenthesized
+        c._text = " | ".join([q._text for q in parts])
     c._canonical = _CANONICAL
     return c
 

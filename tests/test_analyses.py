@@ -20,6 +20,7 @@ from tccs import (
     parse,
     parse_proc,
 )
+from tccs.analyses import _sccs
 from tccs.generate import GenConfig, random_reactive_term, random_term
 from tccs.terms import TAU, TICK, _table, out
 
@@ -88,6 +89,37 @@ def test_a_dropped_analysed_graph_frees_its_terms():
         assert len(_table) == before
     finally:
         gc.enable()
+
+
+def test_sccs_are_the_mutual_reachability_classes_in_emission_order():
+    # against a naive partition, on graphs with self-loops and repeated
+    # edges: every component is emitted after each component it reaches
+    loops = repeats = 0
+    for seed in range(2000):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        succ = [
+            [rng.randrange(n) for _ in range(rng.randint(0, 4))] for _ in range(n)
+        ]
+        loops += sum(v in out for v, out in enumerate(succ))
+        repeats += sum(len(set(out)) < len(out) for out in succ)
+        reach = []
+        for v in range(n):
+            seen, stack = {v}, [v]
+            while stack:
+                for w in succ[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            reach.append(seen)
+        comp, comps = _sccs(succ)
+        assert sorted(v for members in comps for v in members) == list(range(n))
+        assert {frozenset(members) for members in comps} == {
+            frozenset(w for w in reach[v] if v in reach[w]) for v in range(n)
+        }
+        assert all(comp[v] == c for c, members in enumerate(comps) for v in members)
+        assert all(comp[w] <= comp[v] for v in range(n) for w in reach[v])
+    assert loops and repeats
 
 
 def test_truncated_graph_refused():

@@ -19,12 +19,17 @@ from tccs import (
 )
 from tccs.lts import Lts, commitments, to_dot, to_json
 from tccs.terms import (
+    NIL,
     TAU,
     TICK,
     Call,
+    ElseNext,
     Label,
+    Par,
+    Prefix,
     Process,
     Restrict,
+    Sum,
     canonicalize,
     inp,
     out,
@@ -320,6 +325,33 @@ def test_compositions_step_by_component_as_whole_terms_do():
     ):
         p, defs = parse_proc(src)
         _assert_component_path_matches([p], defs, 10000)
+    # terms built by constructors and never printed, over names no
+    # other term uses: `compose` sorts operands by their printed form,
+    # so the stepper must print every operand it hands over
+    def act(pol, a, k=NIL):
+        return Prefix(pol, a, k)
+
+    shapes = (
+        lambda x, y, z: Par(
+            act("in", x), act("out", x, act("in", y)), act("out", y), act("in", x)
+        ),
+        lambda x, y, z: Par(
+            act("out", z, act("in", x)),
+            Restrict(x, Par(act("out", x, act("out", y)), act("in", x), act("in", x))),
+            act("in", z, act("in", y)),
+            act("in", z),
+        ),
+        lambda x, y, z: Sum(
+            act("in", z), Par(act("out", y), act("in", y, act("out", x)), act("in", x))
+        ),
+        lambda x, y, z: ElseNext(
+            Par(act("in", x, act("in", z)), act("out", x), act("out", z)), act("in", y)
+        ),
+    )
+    for k, shape in enumerate(shapes):
+        p = shape(*("unprinted_%s%d" % (a, k) for a in "xyz"))
+        assert all(q._text is None for q in _subterms(p) if q is not NIL)
+        _assert_component_path_matches([p], DefTable(), 10000)
     # the `pairs` benchmark population: 400 untruncated pairs
     configs = (
         GenConfig(depth=4, max_defs=2, allow_else=False),

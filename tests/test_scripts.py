@@ -1,6 +1,9 @@
 """The scripts run to completion: the surveys on a few terms, and the
-output digest to the pinned line whatever the hash seed."""
+output digest to the pinned line whatever the hash seed.  The benchmark
+recorder's summary is checked on canned result lines."""
 
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -39,3 +42,52 @@ def test_output_digest_does_not_depend_on_the_hash_seed():
     # Pinned: a change meant to alter outputs updates this digest and
     # says so in CHANGES.md.
     assert lines == {DIGEST + "\n"}
+
+
+def _bench_record():
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", ROOT / "scripts" / "bench_record.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _canned_run(qps, p50, failed=0):
+    metrics = {
+        "queries_per_s": {"value": qps, "unit": "1/s"},
+        "query_p50_ms": {"value": p50, "unit": "ms"},
+        "undeclared": {"value": 1.0, "unit": "count"},
+    }
+    return (
+        "workload ring, seed 1, 20 s, trace 0\n"
+        "metric queries_per_s = %g 1/s\n" % qps
+        + json.dumps({"correct": not failed, "attempted": 10, "failed": failed,
+                      "metrics": metrics})
+        + "\n"
+    )
+
+
+def test_bench_record_summarises_alternating_runs():
+    bench = _bench_record()
+    parent = [bench.last_json(_canned_run(q, p)) for q, p in
+              ((50, 20.0), (52, 19.0), (54, 18.0), (56, 17.0))]
+    change = [bench.last_json(_canned_run(q, p, f)) for q, p, f in
+              ((70, 14.0, 0), (51, 19.0, 2), (80, 12.0, 0), (75, 13.0, 0))]
+    got = bench.summarise(
+        parent, change, {"queries_per_s": "higher", "query_p50_ms": "lower"}
+    )
+    assert got["pairs"] == 4
+    assert got["failed"] == {"parent": 0, "change": 2}
+    assert got["attempted"] == {"parent": 40, "change": 40}
+    qps = got["metrics"]["queries_per_s"]
+    assert qps["parent"] == {"median": 53, "q1": 50.5, "q3": 55.5}
+    assert qps["change"]["median"] == 72.5
+    assert (qps["unit"], qps["better"], qps["won"]) == ("1/s", "higher", 3)
+    # a tie counts for neither side
+    assert got["metrics"]["query_p50_ms"]["won"] == 3
+    assert "won" not in got["metrics"]["undeclared"]
+    one = bench.summarise(parent[:1], change[:1], {})
+    assert one["metrics"]["queries_per_s"]["change"] == {
+        "median": 70, "q1": 70, "q3": 70
+    }
