@@ -8,16 +8,20 @@ reads the JSON object on each run's last line.  For every metric it
 gives each side's median and quartiles and the pairs the change won,
 ties counting for neither side, by the direction `BENCHMARK.json`
 declares for it.  The record also holds each tree's `src/tccs` line
-count.  It goes into `BENCH_<workload>.json` at the root of this
-repository, under the parent's commit: the entry for the change that
-sits on that commit.  A second record with the same seed, length and
-trace setting replaces the first.  PARENT_TREE must be a git checkout.
+count and the wall time of one tier-1 run in each tree, as pytest
+reports it, taken before the pairs.  It goes into
+`BENCH_<workload>.json` at the root of this repository, under the
+parent's commit: the entry for the change that sits on that commit.  A
+second record with the same seed, length and trace setting replaces
+the first.  PARENT_TREE must be a git checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
@@ -83,6 +87,25 @@ def src_lines(tree: Path) -> int:
     )
 
 
+def pytest_seconds(output: str) -> float | None:
+    """The wall time on the summary line of a pytest run's output."""
+    found = re.findall(r" in ([0-9.]+)s\b", output)
+    return float(found[-1]) if found else None
+
+
+def tier1_seconds(tree: Path) -> float:
+    """The wall time of one tier-1 run of the tree's own tests."""
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=tree, capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+    )
+    seconds = pytest_seconds(out.stdout)
+    if seconds is None:
+        raise SystemExit("tier-1 in %s printed no summary:\n%s" % (tree, out.stderr))
+    return seconds
+
+
 def run(tree: Path, args: argparse.Namespace) -> dict:
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
@@ -120,6 +143,7 @@ def main(argv=None) -> int:
         for m in declared["end_to_end"] + declared["per_layer"]
     }
 
+    tier1 = {"parent": tier1_seconds(args.parent), "change": tier1_seconds(args.change)}
     parent, change = [], []
     for k in range(args.pairs):
         sides = [(args.parent, parent), (args.change, change)]
@@ -138,6 +162,7 @@ def main(argv=None) -> int:
             "parent": src_lines(args.parent),
             "change": src_lines(args.change),
         },
+        "tier1_s": tier1,
         **summarise(parent, change, better),
     }
     path = ROOT / ("BENCH_%s.json" % args.workload)

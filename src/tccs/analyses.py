@@ -18,20 +18,21 @@ Reactivity is a property of a root: every state reachable from it, by
 any sequence of steps, must be free of divergence, so every instant is
 guaranteed to end.
 
-All predicates are exact on an untruncated graph.  Each edge set is
-condensed once, and one fold over a condensation (`_fold`) ORs a seed
-over the states each state reaches, itself included.  Seeded with the
-states' own bits it gives the reach: once over the tau edges, which is
-the tau closure, and once over all edges.  Every predicate is then one
-mask test: may_converge meets the settled states with the tau reach,
-may_diverge meets the states on a tau cycle with it, barbs unions the
-commitments of the settled states in it, ctx_converge meets the settled
-states with the reach over all edges, and reactive keeps that reach
-clear of the diverging states.  The equivalence checkers respond with
-the tau closure, and with each other label's weak transitions, the tau
-fold seeded with the closures of the label's targets, on first use;
-they eliminate in the emission order of the condensation of all edges,
-with each state's predecessors.
+All predicates are exact on an untruncated graph.  The tau edges are
+condensed once, and one fold over that condensation (`_fold`) ORs a
+seed over the states each state reaches, itself included.  Seeded with
+the states' own bits it gives the tau closure, and every tau predicate
+is one mask test: may_converge meets the settled states with the
+closure, may_diverge meets the states on a tau cycle with it, and barbs
+unions the commitments of the settled states in it.  The two predicates
+over all edges are two searches backward over one predecessor list
+(`_backward`): ctx_converge marks the states that reach a settled
+state, and reactive clears the states that reach a diverging one.  The
+equivalence checkers respond with the tau closure, and with each other
+label's weak transitions, the tau fold seeded with the closures of the
+label's targets, on first use; they eliminate in the emission order of
+the condensation of all edges, with each state's predecessors, derived
+when first read (`Analysis.sweep`).
 
 ctx_converge needs no tick filter: a state gets a tick edge only when
 it has no tau edge, so every tick edge leaves a stable state, and a
@@ -45,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lts import BoundExceeded, Lts
-from .terms import Label
+from .terms import TAU, Label
 
 __all__ = [
     "StateFacts",
@@ -75,11 +76,13 @@ class Analysis:
 
     `tau_closure[i]` is the bitmask of the states tau-reachable from
     state i, itself included; every tau predicate of state i is one
-    test of that mask, and ctx_converge and reactivity one test of the
-    reach over all edges, tick included: tick edges leave stable states
-    only.  `sweep` is the elimination order of the equivalence
-    checkers, the states successors first, and `pred`, where `pred[j]`
-    is the bitmask of the states with an edge, of any label, into j.
+    test of that mask.  ctx_converge and reactivity come from the
+    backward searches over all edges, tick included: tick edges leave
+    stable states only.  `sweep` is the elimination order of the
+    equivalence checkers, the states successors first, and `pred`,
+    where `pred[j]` is the bitmask of the states with an edge, of any
+    label, into j; it is derived from the edges when first read and
+    then kept, so a query that never eliminates never pays for it.
     `weak_masks` folds each other label's weak transition masks over
     the kept tau condensation, memoized per label.
     """
@@ -93,7 +96,7 @@ class Analysis:
         "barbs",
         "reactive",
         "tau_closure",
-        "sweep",
+        "_sweep",
         "_tau",
         "_weak",
     )
@@ -110,9 +113,7 @@ class Analysis:
         settled = sum(1 << v for v, st in enumerate(stable) if st)
         bits = [1 << v for v in range(len(stable))]
 
-        tau_succ = [
-            [j for lab, j in out if lab.kind == "tau"] for out in lts.succ
-        ]
+        tau_succ = [[j for lab, j in out if lab is TAU] for out in lts.succ]
         comp, comps = _sccs(tau_succ)
         self._tau = (tau_succ, comp, comps)
         self.tau_closure = reach = _fold(tau_succ, comp, comps, bits)
@@ -136,17 +137,32 @@ class Analysis:
             barbs.append(bs)
         self.barbs = barbs
 
-        all_succ = [[j for _, j in out] for out in lts.succ]
-        comp, comps = _sccs(all_succ)
-        reach = _fold(all_succ, comp, comps, bits)
-        diverging = sum(1 << v for v, d in enumerate(div) if d)
-        self.ctx_converge = [bool(m & settled) for m in reach]
-        self.reactive = [not m & diverging for m in reach]
-        pred = [0] * len(reach)
-        for v, out in enumerate(all_succ):
-            for w in out:
-                pred[w] |= 1 << v
-        self.sweep = ([v for members in comps for v in members], pred)
+        # one predecessor list, searched backward from the settled states
+        # and from the diverging ones
+        preds: list[list[int]] = [[] for _ in stable]
+        for v, out in enumerate(lts.succ):
+            for _, j in out:
+                preds[j].append(v)
+        self.ctx_converge = _backward(preds, [v for v, st in enumerate(stable) if st])
+        self.reactive = [
+            not r for r in _backward(preds, [v for v, d in enumerate(div) if d])
+        ]
+        self._sweep = None
+
+    @property
+    def sweep(self) -> tuple[list[int], list[int]]:
+        """The elimination order and the predecessor masks, derived on
+        first use and then kept."""
+        s = self._sweep
+        if s is None:
+            all_succ = [[j for _, j in out] for out in self.succ]
+            pred = [0] * len(all_succ)
+            for v, out in enumerate(all_succ):
+                for w in out:
+                    pred[w] |= 1 << v
+            _, comps = _sccs(all_succ)
+            s = self._sweep = ([v for members in comps for v in members], pred)
+        return s
 
     def weak_masks(self, lab: Label) -> list[int]:
         """Per-state bitmask of weak successors under `lab`.
@@ -156,7 +172,7 @@ class Analysis:
         the tau fold seeded with the closures of each state's
         `lab`-successors.
         """
-        if lab.kind == "tau":
+        if lab is TAU:
             return self.tau_closure
         masks = self._weak.get(lab)
         if masks is None:
@@ -186,6 +202,24 @@ def _bits(mask: int):
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
+
+
+def _backward(preds: list[list[int]], seeds: list[int]) -> list[bool]:
+    """Per state, whether it reaches one of `seeds`, itself included.
+
+    `preds[j]` lists the states with an edge into j; one search backward
+    from the seeds marks every state it meets.
+    """
+    seen = [False] * len(preds)
+    for v in seeds:
+        seen[v] = True
+    stack = list(seeds)
+    while stack:
+        for v in preds[stack.pop()]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return seen
 
 
 def _fold(

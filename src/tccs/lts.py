@@ -97,7 +97,10 @@ def step(
         memo = {}
     p = canonicalize(p)
     moves = _compose_moves(p, defs, memo)
-    if not any(lab is TAU for lab, _ in moves):
+    for lab, _ in moves:
+        if lab is TAU:
+            break
+    else:
         moves.append((TICK, canonicalize(_tick(p))))
     return sorted(dict.fromkeys(moves), key=_move_key)
 
@@ -119,11 +122,31 @@ def _compose_moves(
     that moved, or the two that synchronized, for the operands of their
     targets; `compose` builds the result.  Equal components are
     adjacent and move alike, so only the first of a run moves on its
-    own or as the earlier of a pair.
+    own or as the earlier of a pair, and pairs with the second.  A
+    communication finds its partners in an index of the later
+    components' offers keyed by label, built once per term, instead of
+    in every later component's moves; the moves come out in the order
+    of that scan.
     """
     parts = _components(p)
-    last = len(parts) - 1
-    comps = [_component(c, defs, memo) for c in parts]
+    comps = []
+    # each communication that a later component offers, under its label:
+    # (position, target operands, twin), in position and move order; a
+    # twin, the second of a run of equal components, pairs only with the
+    # first, and the rest of a run never pairs
+    offers: dict[Label, list] = {}
+    for j, c in enumerate(parts):
+        own = memo.get(c)
+        if own is None:
+            own = _component(c, defs, memo)
+        comps.append(own)
+        if j:
+            twin = c is parts[j - 1]
+            if twin and j > 1 and c is parts[j - 2]:
+                continue
+            for lab, new, co in own:
+                if co is not None:
+                    offers.setdefault(lab, []).append((j, new, twin))
     moves = []
     for i, c in enumerate(parts):
         if i and c is parts[i - 1]:
@@ -131,15 +154,10 @@ def _compose_moves(
         head, tail = parts[:i], parts[i + 1 :]
         for lab, new, co in comps[i]:
             moves.append((lab, compose([*head, *new, *tail])))
-            if co is None or i == last:
-                continue
-            for j in range(i + 1, len(parts)):
-                if j > i + 1 and parts[j] is parts[j - 1]:
-                    continue
-                for lab2, new2, _ in comps[j]:
-                    if lab2 is co:
-                        pair = [*head, *new, *parts[i + 1 : j], *new2, *parts[j + 1 :]]
-                        moves.append((TAU, compose(pair)))
+            for j, new2, twin in offers.get(co, ()):
+                if j > i and (not twin or j == i + 1):
+                    pair = [*head, *new, *parts[i + 1 : j], *new2, *parts[j + 1 :]]
+                    moves.append((TAU, compose(pair)))
     return moves
 
 
@@ -150,22 +168,21 @@ def _components(p: Process) -> tuple[Process, ...]:
 
 
 def _component(c: Process, defs: DefTable, memo: dict) -> list:
-    """A component's instantaneous moves, stored in `memo` under `c`.
+    """A component's instantaneous moves, computed and stored in `memo`
+    under `c`; the caller has found no entry.
 
     Each entry is the label, the operands of the target's canonical
     form, printed for `compose`, and the co-label of a communication,
     None for tau.  The co-label lives here, in a memo that dies with
     the call: labels pointing at their co-labels would form cycles.
     """
-    moves = memo.get(c)
-    if moves is None:
-        moves = []
-        for lab, q in _alpha(c, defs, memo):
-            new = _components(canonicalize(q))
-            for r in new:
-                pretty(r)
-            moves.append((lab, new, lab.co() if lab.is_comm else None))
-        memo[c] = moves
+    moves = []
+    for lab, q in _alpha(c, defs, memo):
+        new = _components(canonicalize(q))
+        for r in new:
+            pretty(r)
+        moves.append((lab, new, lab.co() if lab.is_comm else None))
+    memo[c] = moves
     return moves
 
 

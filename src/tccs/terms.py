@@ -572,35 +572,66 @@ def pretty(p: Process) -> str:
 def _pp(p: Process, level: int) -> str:
     # level 0: composition, 1: sum, 2: prefix operand.  The text at
     # level 0 is cached on the node; the other levels at most add
-    # parentheses around it.  A nest prints its operands in one frame,
-    # so a wide term prints at any width; elsewhere it is one frame per
-    # term level, and the cache does not lower the depth of the terms
-    # that print.
+    # parentheses around it.  An unprinted term is printed bottom-up
+    # from an explicit stack, a node once its subterms are, so a term
+    # prints at any depth and width.
     text = p._text
     if text is None:
-        match p:
-            case Nil():
-                text = "0"
-            case Prefix(pol, a, k):
-                act = a if pol == "in" else "'" + a
-                text = "%s.%s" % (act, _pp(k, 2))
-            case Sum() | Par():
-                # the first operand prints one level looser than the rest
-                sep, inner = (" + ", 2) if type(p) is Sum else (" | ", 1)
-                first, *rest = p.parts
-                text = sep.join([_pp(first, inner - 1)] + [_pp(q, inner) for q in rest])
-            case Restrict(a, b):
-                text = "new %s. %s" % (a, _pp(b, 2))
-            case Call(ident, args):
-                text = "%s(%s)" % (ident, ", ".join(args))
-            case ElseNext(n, l):
-                text = "{%s} else %s" % (_pp(n, 0), _pp(l, 2))
-            case _:
-                raise AssertionError("unreachable node %r" % p)
-        p._text = text
+        stack = [p]
+        while stack:
+            q = stack[-1]
+            if q._text is None:
+                todo = _layout(q)
+                if todo:
+                    stack += todo
+                    continue
+            stack.pop()
+        text = p._text
     if (level >= 2 and type(p) is Sum) or (level >= 1 and type(p) is Par):
         return "(%s)" % text
     return text
+
+
+def _layout(p: Process) -> list[Process] | tuple[()]:
+    # print the node when its subterms are printed; else return those
+    # that are not, the chain of unprinted prefixes below it at once
+    match p:
+        case Nil():
+            p._text = "0"
+        case Prefix(pol, a, k):
+            if k._text is not None:
+                act = a if pol == "in" else "'" + a
+                p._text = "%s.%s" % (act, _pp(k, 2))
+                return ()
+            todo = []
+            while type(k) is Prefix and k._text is None:
+                todo.append(k)
+                k = k.cont
+            if k._text is None:
+                todo.append(k)
+            return todo
+        case Sum() | Par():
+            todo = [q for q in p.parts if q._text is None]
+            if todo:
+                return todo
+            # the first operand prints one level looser than the rest
+            sep, inner = (" + ", 2) if type(p) is Sum else (" | ", 1)
+            first, *rest = p.parts
+            p._text = sep.join([_pp(first, inner - 1)] + [_pp(q, inner) for q in rest])
+        case Restrict(a, b):
+            if b._text is None:
+                return [b]
+            p._text = "new %s. %s" % (a, _pp(b, 2))
+        case Call(ident, args):
+            p._text = "%s(%s)" % (ident, ", ".join(args))
+        case ElseNext(n, l):
+            todo = [q for q in (n, l) if q._text is None]
+            if todo:
+                return todo
+            p._text = "{%s} else %s" % (_pp(n, 0), _pp(l, 2))
+        case _:
+            raise AssertionError("unreachable node %r" % p)
+    return ()
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,33 @@ def test_sccs_are_the_mutual_reachability_classes_in_emission_order():
     assert loops and repeats
 
 
+def test_the_deferred_sweep_is_the_all_edge_emission_order_and_predecessors():
+    # on random labelled graphs with self-loops and repeated edges:
+    # derived on first read only, then kept
+    labels = (TAU, TICK, inp("a"), out("a"))
+    loops = repeats = 0
+    for seed in range(2000):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        edges = [
+            (v, rng.choice(labels), rng.randrange(n))
+            for v in range(n)
+            for _ in range(rng.randint(0, 4))
+        ]
+        succ = [[j for i, _, j in edges if i == v] for v in range(n)]
+        loops += sum(v in out for v, out in enumerate(succ))
+        repeats += sum(len(set(out)) < len(out) for out in succ)
+        an = analysis(hand_built(n, edges))
+        assert an._sweep is None
+        order, pred = an.sweep
+        assert an.sweep is an._sweep
+        assert order == [v for members in _sccs(succ)[1] for v in members]
+        assert [{v for v in range(n) if m >> v & 1} for m in pred] == [
+            {i for i, _, j in edges if j == w} for w in range(n)
+        ]
+    assert loops and repeats
+
+
 def test_truncated_graph_refused():
     p, defs = parse_proc("Omega | a.b.c.d.0")
     lts = build_lts([p], defs, bound=3)
@@ -217,6 +244,42 @@ def test_facts_agree_with_the_reference_on_hand_built_graphs(seed):
     # Random terms rarely close a tau cycle through several states, and
     # the weak masks are folded over exactly those components.
     _assert_agrees_with_the_reference(_hand_built(random.Random(seed)))
+
+
+def test_facts_agree_with_the_reference_past_a_tick_edge():
+    # A tail that only a tick edge enters: some states of a random graph
+    # get an edge into a stable state t whose one edge ticks into u,
+    # which diverges on a tau self-loop or settles by ticking to itself.
+    # The backward searches must cross the tick edge.
+    cut = settled = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        base = _hand_built(rng)
+        n = len(base)
+        t, u = n, n + 1
+        edges = [(i, lab, j) for i, out in enumerate(base.succ) for lab, j in out]
+        # a tau edge only from a state that has one, so that every tick
+        # edge still leaves a stable state
+        edges += [
+            (i, rng.choice((inp("a"), out("a")) + (() if base.stable[i] else (TAU,))), t)
+            for i in range(n)
+            if rng.random() < 0.3
+        ]
+        edges.append((t, TICK, u))
+        diverges = rng.random() < 0.5
+        edges.append((u, TAU, u) if diverges else (u, TICK, u))
+        lts = hand_built(n + 2, edges)
+        _assert_agrees_with_the_reference(lts)
+        a = analysis(lts)
+        if diverges:
+            assert not a.reactive[t] and not a.may_diverge[t]
+            # states that lose reactivity through the tick edge alone
+            orc = Oracle(base)
+            cut += sum(not a.reactive[v] and orc.reactive(v) for v in range(n))
+        else:
+            assert a.reactive[u] and a.ctx_converge[u]
+            settled += 1
+    assert cut and settled
 
 
 @pytest.mark.parametrize("k", [3, 4])

@@ -305,12 +305,20 @@ def test_an_engine_error_is_an_internal_error_not_a_usage_error(
 
 
 def test_a_too_deep_term_is_an_internal_error_in_one_line(tmp_path, capsys):
+    # canonical forms are still computed recursively
     f = tmp_path / "deep.tccs"
-    f.write_text("P = %s0;\n" % ("a." * 3000), encoding="ascii")
-    assert main(["parse", str(f)]) == 4
+    f.write_text("P = %sa.0%s;\n" % ("new a.(" * 1200, ")" * 1200), encoding="ascii")
+    assert main(["analyze", str(f), "-p", "P"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: RecursionError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_deep_chain_parses_and_prints(tmp_path, capsys):
+    f = tmp_path / "deep.tccs"
+    f.write_text("P = %s0;\n" % ("a." * 3000), encoding="ascii")
+    assert main(["parse", str(f)]) == 0
+    assert capsys.readouterr() == ("P = %s0;\n" % ("a." * 3000), "")
 
 
 def test_deeply_nested_parentheses_parse(tmp_path, capsys):

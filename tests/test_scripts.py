@@ -91,3 +91,12 @@ def test_bench_record_summarises_alternating_runs():
     assert one["metrics"]["queries_per_s"]["change"] == {
         "median": 70, "q1": 70, "q3": 70
     }
+
+
+def test_bench_record_reads_the_tier1_wall_time_off_pytest():
+    bench = _bench_record()
+    assert bench.pytest_seconds("....\n201 passed in 38.14s\n") == 38.14
+    assert bench.pytest_seconds(
+        "F..\n= 1 failed, 200 passed, 3 warnings in 75.23s (0:01:15) =\n"
+    ) == 75.23
+    assert bench.pytest_seconds("ERROR: file or directory not found\n") is None

@@ -51,6 +51,37 @@ def test_pretty_parse_round_trip(seed):
     assert pickle.loads(pickle.dumps(p)) is p
 
 
+def _printed(p, level=0):
+    # the printer written recursively: 0 composition, 1 sum, 2 prefix
+    match p:
+        case Prefix(pol, a, k):
+            text = "%s%s.%s" % ("" if pol == "in" else "'", a, _printed(k, 2))
+        case Sum() | Par():
+            sep, inner = (" + ", 2) if type(p) is Sum else (" | ", 1)
+            text = sep.join(
+                [_printed(p.parts[0], inner - 1)]
+                + [_printed(q, inner) for q in p.parts[1:]]
+            )
+        case Restrict(a, b):
+            text = "new %s. %s" % (a, _printed(b, 2))
+        case ElseNext(n, l):
+            text = "{%s} else %s" % (_printed(n, 0), _printed(l, 2))
+        case _:
+            text = pretty(p)
+    if (level >= 2 and type(p) is Sum) or (level >= 1 and type(p) is Par):
+        return "(%s)" % text
+    return text
+
+
+def test_pretty_matches_a_recursive_printer_on_fresh_terms():
+    # names no other test uses, so nearly every node is printed afresh
+    for seed in range(300):
+        cfg = GenConfig(depth=5, max_defs=2, names=("f%da" % seed, "f%db" % seed))
+        p, _ = random_term(random.Random(seed), cfg)
+        want = _printed(p)
+        assert pretty(p) == want
+
+
 @given(seeds)
 @settings(max_examples=150, deadline=None)
 def test_pretty_is_stable_after_reparse(seed):
