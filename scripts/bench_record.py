@@ -7,9 +7,12 @@ alternates (parent first in even pairs, change first in odd ones), and
 reads the JSON object on each run's last line.  For every metric it
 gives each side's median and quartiles and the pairs the change won,
 ties counting for neither side, by the direction `BENCHMARK.json`
-declares for it.  The record also holds each tree's `src/tccs` line
-count and the wall time of one tier-1 run in each tree, as pytest
-reports it, taken before the pairs.  It goes into
+declares for it.  The record also holds each side's wall time per
+run, timed around the `perfbench/run.py` process (`run_wall_s`, median
+and quartiles), which counts the untimed work between queries that
+the run's own metrics leave out, each tree's `src/tccs` line count and
+the wall time of one tier-1 run in each tree, as pytest reports it,
+taken before the pairs.  It goes into
 `BENCH_<workload>.json` at the root of this repository, under the
 parent's commit: the entry for the change that sits on that commit.  A
 second record with the same seed, length and trace setting replaces
@@ -25,6 +28,7 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,7 +53,9 @@ def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) ->
 
     `parent[k]` and `change[k]` are the result objects of pair k, and
     `better` maps a metric to "higher" or "lower"; a metric it does not
-    name gets no count of pairs won.
+    name gets no count of pairs won.  `run_wall_s` of each result
+    object is the wall time of its run; each side's spread of it is
+    recorded beside the metrics.
     """
     metrics = {}
     for name in parent[0]["metrics"]:
@@ -68,6 +74,10 @@ def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) ->
         metrics[name] = entry
     return {
         "pairs": len(parent),
+        "run_wall_s": {
+            "parent": spread([run["run_wall_s"] for run in parent]),
+            "change": spread([run["run_wall_s"] for run in change]),
+        },
         "failed": {
             "parent": sum(run["failed"] for run in parent),
             "change": sum(run["failed"] for run in change),
@@ -107,16 +117,19 @@ def tier1_seconds(tree: Path) -> float:
 
 
 def run(tree: Path, args: argparse.Namespace) -> dict:
+    """One run's result object, with its wall time as `run_wall_s`."""
+    start = time.perf_counter()
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds),
          "--trace", str(args.trace)],
         cwd=tree, capture_output=True, text=True, check=False,
     )
+    wall = time.perf_counter() - start
     if out.returncode not in (0, 1):
         raise SystemExit("perfbench in %s exited %d:\n%s"
                          % (tree, out.returncode, out.stderr))
-    return last_json(out.stdout)
+    return dict(last_json(out.stdout), run_wall_s=round(wall, 3))
 
 
 def main(argv=None) -> int:
@@ -149,10 +162,11 @@ def main(argv=None) -> int:
         sides = [(args.parent, parent), (args.change, change)]
         for tree, runs in sides if k % 2 == 0 else sides[::-1]:
             runs.append(run(tree, args))
-        print("pair %d: %s" % (k + 1, " ".join(
+        print("pair %d: %s run_wall_s %.4g -> %.4g" % (k + 1, " ".join(
             "%s %.4g -> %.4g" % (name, parent[-1]["metrics"][name]["value"],
                                  change[-1]["metrics"][name]["value"])
-            for name in list(parent[-1]["metrics"])[:4])), flush=True)
+            for name in list(parent[-1]["metrics"])[:4]),
+            parent[-1]["run_wall_s"], change[-1]["run_wall_s"]), flush=True)
 
     record = {
         "seed": args.seed,
@@ -178,6 +192,9 @@ def main(argv=None) -> int:
         print("%-28s parent %-10.4g change %-10.4g won %s/%d" % (
             name, m["parent"]["median"], m["change"]["median"],
             m.get("won", "-"), record["pairs"]))
+    wall = record["run_wall_s"]
+    print("%-28s parent %-10.4g change %-10.4g" % (
+        "run_wall_s", wall["parent"]["median"], wall["change"]["median"]))
     return 0
 
 

@@ -38,17 +38,22 @@ ctx_converge needs no tick filter: a state gets a tick edge only when
 it has no tau edge, so every tick edge leaves a stable state, and a
 stable state is reachable over all edges exactly when it is reachable
 over instantaneous ones.  `Analysis` is the one cache of everything
-derived from a graph, and it is stored on the graph itself.
+derived from a graph, and it is stored on the graph itself.  A set of
+state pairs, a label's weak transitions or an equivalence, is served
+as a `PairSet`, a view over one such mask per state.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .lts import BoundExceeded, Lts
 from .terms import TAU, Label
 
 __all__ = [
+    "PairSet",
     "StateFacts",
     "Analysis",
     "analysis",
@@ -202,6 +207,69 @@ def _bits(mask: int):
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
+
+
+class PairSet(Set):
+    """A read-only set of state-id pairs, held as one bitmask per row:
+    (i, j) is a member when bit j of `rows[i]` is set.
+
+    The rows are used as given, not copied, and may be shared: a
+    partition's rows are one mask per class.  Membership is one bit
+    test, and a pair with a negative or out-of-range id is no member.
+    Iteration is in ascending (i, j) order and lists each distinct row's
+    members once, keeping them only until the row's last occurrence;
+    `len` counts the rows' bits.  `<=`, `>=` and `==` between two views
+    compare row by row.  The other set operators give frozensets.  Like
+    `set`, a view is unhashable.
+    """
+
+    __slots__ = ("rows",)
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, rows: list[int]) -> None:
+        self.rows = rows
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def __contains__(self, pair) -> bool:
+        i, j = pair
+        rows = self.rows
+        return 0 <= i < len(rows) and j >= 0 and rows[i] >> j & 1 == 1
+
+    def __iter__(self):
+        rows = self.rows
+        last = {m: i for i, m in enumerate(rows)}
+        listed: dict[int, tuple[int, ...]] = {}
+        for i, m in enumerate(rows):
+            js = listed.get(m) or tuple(_bits(m))
+            if last[m] > i:
+                listed[m] = js
+            else:
+                listed.pop(m, None)
+            for j in js:
+                yield i, j
+
+    def __len__(self) -> int:
+        return sum(m.bit_count() for m in self.rows)
+
+    def __le__(self, other) -> bool:
+        if isinstance(other, PairSet):
+            rows = zip_longest(self.rows, other.rows, fillvalue=0)
+            return not any(m & ~o for m, o in rows)
+        return super().__le__(other)
+
+    def __ge__(self, other) -> bool:
+        if isinstance(other, PairSet):
+            return other <= self
+        return super().__ge__(other)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PairSet):
+            rows = zip_longest(self.rows, other.rows, fillvalue=0)
+            return all(m == o for m, o in rows)
+        return super().__eq__(other)
 
 
 def _backward(preds: list[list[int]], seeds: list[int]) -> list[bool]:

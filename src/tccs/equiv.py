@@ -63,10 +63,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 
 # may_converge is unused here, but perfbench's traced run rebinds it here
-from .analyses import _bits, _label_set, analysis, may_converge  # noqa: F401
+from .analyses import (  # noqa: F401
+    PairSet, _bits, _label_set, analysis, may_converge,
+)
 from .lts import BoundExceeded, Lts, build_lts
 from .terms import (
     NIL,
@@ -126,12 +127,13 @@ _CONV_CCS = "conv-ccs"
 # weak transitions
 
 
-def weak(lts: Lts, label: Label) -> set[tuple[int, int]]:
-    """The weak transition relation for one label, as state-id pairs."""
+def weak(lts: Lts, label: Label) -> PairSet:
+    """The weak transition relation for one label, as a read-only set
+    of state-id pairs: a view over the label's weak masks
+    (`Analysis.weak_masks`), which it shares and does not copy."""
     if lts.truncated:
         raise BoundExceeded("weak transitions need the full graph")
-    masks = analysis(lts).weak_masks(label)
-    return {(i, j) for i in range(len(lts)) for j in _bits(masks[i])}
+    return PairSet(analysis(lts).weak_masks(label))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +192,10 @@ class EquivVerdict:
 class Relation:
     """An equivalence on the states of one graph, as a partition:
     `block[i]` is the class id of state i, numbered by first appearance.
-    `pairs` spells it out as ordered pairs, built on first use."""
+    `pairs` is the relation as a read-only set of ordered pairs, a view
+    made on each read whose rows are one mask per class, shared by the
+    class's members: n references and one mask per class, never a set
+    of every pair."""
 
     mode: str
     block: tuple[int, ...]
@@ -200,14 +205,12 @@ class Relation:
         n = len(self.block)
         return 0 <= s < n and 0 <= t < n and self.block[s] == self.block[t]
 
-    @cached_property
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        members: dict[int, list[int]] = {}
+    @property
+    def pairs(self) -> PairSet:
+        masks = [0] * (max(self.block, default=-1) + 1)
         for i, b in enumerate(self.block):
-            members.setdefault(b, []).append(i)
-        return frozenset(
-            (i, j) for i, b in enumerate(self.block) for j in members[b]
-        )
+            masks[b] |= 1 << i
+        return PairSet([masks[b] for b in self.block])
 
 
 # ---------------------------------------------------------------------------

@@ -340,11 +340,17 @@ class Lts:
         self.index = index
         self.succ = succ
         self.truncated = truncated
-        self.stable = [not any(lab is TAU for lab, _ in out) for out in succ]
-        self.commit = [
-            frozenset(lab for lab, _ in out if lab.is_comm) if st else None
-            for out, st in zip(succ, self.stable)
-        ]
+        self.stable = stable = []
+        self.commit = commit = []
+        for out in succ:
+            for lab, _ in out:
+                if lab is TAU:
+                    stable.append(False)
+                    commit.append(None)
+                    break
+            else:
+                stable.append(True)
+                commit.append(frozenset(lab for lab, _ in out if lab.is_comm))
         if truncated:
             for i, out in enumerate(succ):
                 if not out:

@@ -2,9 +2,12 @@
 
 import functools
 import importlib.util
+import itertools
+import operator
 import random
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import tccs.equiv
 import tccs.lts
-from oracles import CONV_CCS, Oracle, hand_built, ring_program
+from oracles import (
+    CONV_CCS, Oracle, enumeration_kit, hand_built, ring_program, small_terms,
+)
 from tccs import (
     BoundExceeded,
     analysis,
@@ -376,24 +381,110 @@ def test_a_ring_root_falls_on_its_first_visit(k):
 # agreement with the reference and among the modes
 
 
-@given(seeds)
-@settings(max_examples=60, deadline=None)
-def test_relations_agree_with_the_reference(seed):
-    rng = random.Random(seed)
-    p, q, defs = random_pair(rng, GenConfig(depth=3, max_defs=2))
-    lts = build_lts([p, q], defs, bound=120)
-    if lts.truncated:
-        return
-    orc = Oracle(lts)
+def _spelled(rel, n):
+    """The relation as a frozenset of every ordered pair, written out."""
+    return frozenset(
+        (s, t) for s in range(n) for t in range(n)
+        if rel.block[s] == rel.block[t]
+    )
+
+
+def _assert_pair_views(lts, orc, rels, compared):
+    """Each relation's `pairs` view against its frozenset spelling, and
+    each label's `weak` view against the reference's weak transitions:
+    the same members, ascending iteration, the same length and the same
+    answers to comparisons, between two views and against frozensets,
+    for each pair of relations that `compared` lists by index."""
     n = len(lts)
-    for mode in (USUAL, CONV, CONV_DIV):
-        rel = largest_bisimulation(lts, mode)
-        assert "pairs" not in vars(rel)
-        assert set(rel.pairs) == orc.gfp(mode)
-        for s in range(n):
-            for t in range(n):
-                assert ((s, t) in rel) == ((s, t) in rel.pairs)
-        assert (n, 0) not in rel and (-1, 0) not in rel
+    views, sets = [], []
+    for rel in rels:
+        view, spelled = rel.pairs, _spelled(rel, n)
+        assert view == spelled and spelled == view
+        assert list(view) == sorted(spelled)
+        assert len(view) == len(spelled)
+        with pytest.raises(TypeError):
+            hash(view)
+        for s in (-1, 0, n - 1, n):
+            for t in (-1, 0, n - 1, n):
+                assert ((s, t) in view) == ((s, t) in spelled) == ((s, t) in rel)
+        views.append(view)
+        sets.append(spelled)
+    for a, b in compared:
+        va, vb, fa, fb = views[a], views[b], sets[a], sets[b]
+        for op in (operator.le, operator.ge, operator.eq, operator.lt):
+            assert op(va, vb) == op(va, fb) == op(fa, vb) == op(fa, fb)
+        for op in (operator.or_, operator.and_):
+            for got in (op(va, vb), op(va, fb), op(fa, vb)):
+                assert type(got) is frozenset and got == op(fa, fb)
+    for lab in {lab for out in lts.succ for lab, _ in out} | {TAU}:
+        view = weak(lts, lab)
+        spelled = frozenset((s, t) for s in range(n) for t in orc.weak(s, lab))
+        assert view == spelled and list(view) == sorted(spelled)
+        assert len(view) == len(spelled)
+        assert (n, 0) not in view and (0, -1) not in view
+
+
+def test_relations_agree_with_the_reference():
+    graphs = 0
+    for seed in range(2400):
+        rng = random.Random(seed)
+        p, q, defs = random_pair(rng, GenConfig(depth=3, max_defs=2))
+        lts = build_lts([p, q], defs, bound=120)
+        if lts.truncated:
+            continue
+        orc = Oracle(lts)
+        n = len(lts)
+        rels = [largest_bisimulation(lts, mode) for mode in MODES]
+        for rel in rels:
+            pairs = rel.pairs
+            assert pairs == orc.gfp(rel.mode)
+            for s in range(n):
+                for t in range(n):
+                    assert ((s, t) in rel) == ((s, t) in pairs)
+            assert (n, 0) not in rel and (-1, 0) not in rel
+        _assert_pair_views(
+            lts, orc, rels, itertools.combinations_with_replacement(range(4), 2)
+        )
+        graphs += 1
+    assert graphs >= 2000
+
+
+def test_pair_views_on_the_pool():
+    # The pool's relations hold 10^5 pairs and more, in classes of
+    # hundreds of states; criterion 6 checks them against Oracle.gfp.
+    atoms, defs = enumeration_kit()
+    lts = build_lts(small_terms(("a",), 2, atoms), defs)
+    assert len(lts) == 808
+    rels = [largest_bisimulation(lts, mode) for mode in MODES]
+    _assert_pair_views(lts, Oracle(lts), rels, [(0, 2)])
+
+
+def test_pair_views_hold_no_set_of_pairs():
+    # A chain of 200 encoded tau steps: 401 states, all related, so
+    # 160 801 pairs, whose frozenset takes some 23 MB; and 401 distinct
+    # weak tau rows, which iteration must not keep.
+    k = 200
+    res = parse("".join(
+        "A%d() = tau.%s;\n" % (i, "A%d()" % (i + 1) if i + 1 < k else "0")
+        for i in range(k)
+    ) + "P = A0();\n")
+    lts = build_lts([res.process("P")], res.defs)
+    n = len(lts)
+    rel = largest_bisimulation(lts, USUAL)
+    assert n == 2 * k + 1 and rel.block == (0,) * n
+    probes = [(i % 409, i * 7 % 419) for i in range(1000)]
+    tracemalloc.start()
+    try:
+        pairs, closure = rel.pairs, weak(lts, TAU)
+        assert len(pairs) == n * n
+        assert sum(p in pairs for p in probes) == sum(
+            s < n and t < n for s, t in probes
+        )
+        assert sum(1 for _ in closure) == len(closure) == n * (n + 1) // 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_classes_refuse_rows_that_are_not_an_equivalence():

@@ -70,14 +70,20 @@ def _canned_run(qps, p50, failed=0):
 
 def test_bench_record_summarises_alternating_runs():
     bench = _bench_record()
-    parent = [bench.last_json(_canned_run(q, p)) for q, p in
-              ((50, 20.0), (52, 19.0), (54, 18.0), (56, 17.0))]
-    change = [bench.last_json(_canned_run(q, p, f)) for q, p, f in
-              ((70, 14.0, 0), (51, 19.0, 2), (80, 12.0, 0), (75, 13.0, 0))]
+    parent = [dict(bench.last_json(_canned_run(q, p)), run_wall_s=w)
+              for q, p, w in ((50, 20.0, 37.0), (52, 19.0, 36.0),
+                              (54, 18.0, 38.0), (56, 17.0, 40.0))]
+    change = [dict(bench.last_json(_canned_run(q, p, f)), run_wall_s=w)
+              for q, p, f, w in ((70, 14.0, 0, 29.0), (51, 19.0, 2, 30.0),
+                                 (80, 12.0, 0, 28.0), (75, 13.0, 0, 29.0))]
     got = bench.summarise(
         parent, change, {"queries_per_s": "higher", "query_p50_ms": "lower"}
     )
     assert got["pairs"] == 4
+    assert got["run_wall_s"] == {
+        "parent": {"median": 37.5, "q1": 36.25, "q3": 39.5},
+        "change": {"median": 29.0, "q1": 28.25, "q3": 29.75},
+    }
     assert got["failed"] == {"parent": 0, "change": 2}
     assert got["attempted"] == {"parent": 40, "change": 40}
     qps = got["metrics"]["queries_per_s"]
@@ -91,6 +97,22 @@ def test_bench_record_summarises_alternating_runs():
     assert one["metrics"]["queries_per_s"]["change"] == {
         "median": 70, "q1": 70, "q3": 70
     }
+
+
+def test_bench_record_times_each_run_around_its_process(tmp_path):
+    # a tree whose benchmark sleeps, as untimed work between queries
+    # would, and then prints a canned result line
+    bench_dir = tmp_path / "perfbench"
+    bench_dir.mkdir()
+    (bench_dir / "run.py").write_text(
+        "import sys, time\ntime.sleep(0.3)\nsys.stdout.write(%r)\n"
+        % _canned_run(50, 20.0)
+    )
+    bench = _bench_record()
+    args = bench.argparse.Namespace(workload="ring", seed=1, seconds=1, trace=0)
+    got = bench.run(tmp_path, args)
+    assert got["metrics"]["queries_per_s"]["value"] == 50
+    assert 0.3 <= got["run_wall_s"] < 30
 
 
 def test_bench_record_reads_the_tier1_wall_time_off_pytest():
