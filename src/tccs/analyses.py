@@ -1,4 +1,4 @@
-"""Per-state semantic predicates read off reachability masks of a graph.
+"""Per-state semantic predicates of a graph, computed per tau component.
 
 A state has converged when it offers no internal step; such a state is
 stable and lets time pass.  From there four derived notions stack up:
@@ -18,21 +18,23 @@ Reactivity is a property of a root: every state reachable from it, by
 any sequence of steps, must be free of divergence, so every instant is
 guaranteed to end.
 
-All predicates are exact on an untruncated graph.  The tau edges are
-condensed once, and one fold over that condensation (`_fold`) ORs a
-seed over the states each state reaches, itself included.  Seeded with
-the states' own bits it gives the tau closure, and every tau predicate
-is one mask test: may_converge meets the settled states with the
-closure, may_diverge meets the states on a tau cycle with it, and barbs
-unions the commitments of the settled states in it.  The two predicates
-over all edges are two searches backward over one predecessor list
+All predicates are exact on an untruncated graph.  The states of one
+tau-SCC share one tau closure, so every tau predicate is constant on
+it: the tau edges are condensed once, and each tau table is one fold
+over that condensation (`_fold`), which joins one seed per component
+over the components each one reaches.  may_converge is seeded with
+whether the component is a settled state (a settled state has no tau
+edge, so it is a component of its own), may_diverge with whether it is
+a tau cycle, barbs with the settled state's commitments, and the tau
+closure with the component's member mask.  The two predicates over all
+edges are two searches backward over one predecessor list
 (`_backward`): ctx_converge marks the states that reach a settled
 state, and reactive clears the states that reach a diverging one.  The
 equivalence checkers respond with the tau closure, and with each other
-label's weak transitions, the tau fold seeded with the closures of the
-label's targets, on first use; they eliminate in the emission order of
-the condensation of all edges, with each state's predecessors, derived
-when first read (`Analysis.sweep`).
+label's weak transitions, the tau fold seeded per component with the
+closures of its members' targets under the label, on first use; they
+eliminate in the emission order of the condensation of all edges, with
+each state's predecessors, derived when first read (`Analysis.sweep`).
 
 ctx_converge needs no tick filter: a state gets a tick edge only when
 it has no tau edge, so every tick edge leaves a stable state, and a
@@ -80,8 +82,9 @@ class Analysis:
     """All predicate tables for one graph, filled once at construction.
 
     `tau_closure[i]` is the bitmask of the states tau-reachable from
-    state i, itself included; every tau predicate of state i is one
-    test of that mask.  ctx_converge and reactivity come from the
+    state i, itself included.  Every tau table holds one value per
+    tau-SCC, shared by its members, each from one fold over the kept
+    tau condensation.  ctx_converge and reactivity come from the
     backward searches over all edges, tick included: tick edges leave
     stable states only.  `sweep` is the elimination order of the
     equivalence checkers, the states successors first, and `pred`,
@@ -89,7 +92,7 @@ class Analysis:
     label, into j; it is derived from the edges when first read and
     then kept, so a query that never eliminates never pays for it.
     `weak_masks` folds each other label's weak transition masks over
-    the kept tau condensation, memoized per label.
+    the same condensation, memoized per label.
     """
 
     __slots__ = (
@@ -115,32 +118,20 @@ class Analysis:
         self.succ = lts.succ
         self.stable = stable = lts.stable
         self._weak: dict[Label, list[int]] = {}
-        settled = sum(1 << v for v, st in enumerate(stable) if st)
-        bits = [1 << v for v in range(len(stable))]
 
         tau_succ = [[j for lab, j in out if lab is TAU] for out in lts.succ]
         comp, comps = _sccs(tau_succ)
-        self._tau = (tau_succ, comp, comps)
-        self.tau_closure = reach = _fold(tau_succ, comp, comps, bits)
-        looping = 0
-        for members in comps:
-            v = members[0]
-            if len(members) > 1 or v in tau_succ[v]:
-                for v in members:
-                    looping |= 1 << v
-        self.may_converge = [bool(m & settled) for m in reach]
-        self.may_diverge = div = [bool(m & looping) for m in reach]
+        # the condensation's edges: the components each one's tau edges
+        # enter, its own among them exactly when it is a tau cycle
+        below = [{comp[w] for v in ms for w in tau_succ[v]} for ms in comps]
+        self._tau = tau = (below, comp)
+        # a settled state has no tau edge, so it is a component of its
+        # own, and only a settled state has a commitment set
+        self.may_converge = _fold(*tau, [stable[ms[0]] for ms in comps])
+        self.may_diverge = div = _fold(*tau, [c in ds for c, ds in enumerate(below)])
         commit = lts.commit
-        union: dict[int, frozenset[Label]] = {}
-        barbs = []
-        for m in reach:
-            m &= settled
-            bs = union.get(m)
-            if bs is None:
-                bs = frozenset().union(*[commit[v] for v in _bits(m)])
-                union[m] = bs
-            barbs.append(bs)
-        self.barbs = barbs
+        self.barbs = _fold(*tau, [commit[ms[0]] or frozenset() for ms in comps])
+        self.tau_closure = _fold(*tau, [sum(1 << v for v in ms) for ms in comps])
 
         # one predecessor list, searched backward from the settled states
         # and from the diverging ones
@@ -174,20 +165,21 @@ class Analysis:
 
         For tau this is the tau closure; for any other label it is tau
         closure, one strong step with the label, then tau closure again:
-        the tau fold seeded with the closures of each state's
-        `lab`-successors.
+        the tau fold seeded, per component, with the closures of its
+        members' `lab`-successors.
         """
         if lab is TAU:
             return self.tau_closure
         masks = self._weak.get(lab)
         if masks is None:
             tclo = self.tau_closure
-            pre = [0] * len(tclo)
+            below, comp = self._tau
+            seed = [0] * len(below)
             for j, out in enumerate(self.succ):
                 for l2, k in out:
                     if l2 is lab:
-                        pre[j] |= tclo[k]
-            masks = self._weak[lab] = _fold(*self._tau, pre)
+                        seed[comp[j]] |= tclo[k]
+            masks = self._weak[lab] = _fold(below, comp, seed)
         return masks
 
     def facts(self, i: int) -> StateFacts:
@@ -290,27 +282,23 @@ def _backward(preds: list[list[int]], seeds: list[int]) -> list[bool]:
     return seen
 
 
-def _fold(
-    succ: list[list[int]],
-    comp: list[int],
-    comps: list[list[int]],
-    seed: list[int],
-) -> list[int]:
-    """Each state's OR of `seed` over the states it reaches under an
-    edge set, itself included.
+def _fold(below: list[set[int]], comp: list[int], seed: list) -> list:
+    """Each state's join (`|`) of `seed` over the components it reaches
+    under an edge set, its own included.
 
-    `comp` and `comps` are the edge set's condensation (`_sccs`).  One
-    forward sweep over the components: every component is emitted after
-    the components it can reach, so their values are complete by the
-    time it ORs them in with its members' seeds.
+    `below[c]` holds the components that component c's edges enter, and
+    `comp[v]` is state v's component, of a condensation whose components
+    are numbered in `_sccs` emission order.  `seed[c]` is component c's
+    value, of any type `|` joins: ints, bools, frozensets.  One forward
+    sweep over the components: every component comes after the
+    components it can reach, so their values are complete by the time
+    it joins them in.  The states of a component share one value object.
     """
-    done = [0] * len(comps)
-    for c, members in enumerate(comps):
-        m = 0
-        for v in members:
-            m |= seed[v]
-            for w in succ[v]:
-                m |= done[comp[w]]
+    done = list(seed)
+    for c, ds in enumerate(below):
+        m = done[c]
+        for d in ds:
+            m |= done[d]
         done[c] = m
     return [done[c] for c in comp]
 

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 # may_converge is unused here, but perfbench's traced run rebinds it here
 from .analyses import (  # noqa: F401
@@ -193,9 +194,9 @@ class Relation:
     """An equivalence on the states of one graph, as a partition:
     `block[i]` is the class id of state i, numbered by first appearance.
     `pairs` is the relation as a read-only set of ordered pairs, a view
-    made on each read whose rows are one mask per class, shared by the
-    class's members: n references and one mask per class, never a set
-    of every pair."""
+    made on first read and then kept, whose rows are one mask per
+    class, shared by the class's members: n references and one mask per
+    class, never a set of every pair."""
 
     mode: str
     block: tuple[int, ...]
@@ -205,7 +206,7 @@ class Relation:
         n = len(self.block)
         return 0 <= s < n and 0 <= t < n and self.block[s] == self.block[t]
 
-    @property
+    @cached_property
     def pairs(self) -> PairSet:
         masks = [0] * (max(self.block, default=-1) + 1)
         for i, b in enumerate(self.block):

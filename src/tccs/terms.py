@@ -4,8 +4,7 @@ A process is an immutable tree built from seven constructors:
 inaction, communication prefix, sum, parallel composition, name
 restriction, identifier call, and else_next (run the first operand
 in the current instant, switch to the second when time passes).  A
-sum or composition is one node holding all its operands, with a
-binary view (`left`, `right`) for code that walks it two at a time.
+sum or composition is one node holding all its operands in order.
 
 Two name spaces coexist.  User names match [a-z][a-zA-Z0-9_]* and
 come from source text; machine names are rendered #1, #2, ... and
@@ -302,12 +301,10 @@ class _Nest(Process):
     The constructor takes two or more operands and extends a nest of
     its own class given first, so `Sum(Sum(a, b), c)` is `Sum(a, b, c)`;
     a nest elsewhere came from parentheses and stays one operand.  So
-    nodes correspond one to one to binary trees leaning left, whose
-    view `left` and `right` build on demand.
+    nodes correspond one to one to binary trees leaning left.
     """
 
     __slots__ = ("parts",)
-    __match_args__ = ("left", "right")
 
     def __new__(cls, first, second, *rest):
         # the table lookup of `Process.__new__`, in this frame
@@ -324,14 +321,6 @@ class _Nest(Process):
 
     def __reduce__(self):
         return type(self), self.parts
-
-    @property
-    def left(self) -> Process:
-        return _rebuild(self.parts[:-1], type(self))
-
-    @property
-    def right(self) -> Process:
-        return self.parts[-1]
 
 
 def _new_nest(key: tuple) -> _Nest:

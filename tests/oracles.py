@@ -305,9 +305,11 @@ def _moves(p: Process, defs: DefTable) -> list[tuple[Label, Process]]:
             return []
         case Prefix(pol, a, k):
             return [(Label(pol, a), k)]
-        case Sum(l, r):
+        case Sum():
+            l, r = halves(p)
             return _moves(l, defs) + _moves(r, defs)
-        case Par(l, r):
+        case Par():
+            l, r = halves(p)
             left, right = _moves(l, defs), _moves(r, defs)
             acc = [(lab, Par(l2, r)) for lab, l2 in left]
             acc += [(lab, Par(l, r2)) for lab, r2 in right]
@@ -337,10 +339,9 @@ def _let_time_pass(p: Process) -> Process:
     match p:
         case Nil() | Prefix(_, _, _):
             return p
-        case Sum(l, r):
-            return Sum(_let_time_pass(l), _let_time_pass(r))
-        case Par(l, r):
-            return Par(_let_time_pass(l), _let_time_pass(r))
+        case Sum() | Par():
+            l, r = halves(p)
+            return type(p)(_let_time_pass(l), _let_time_pass(r))
         case Restrict(a, b):
             return Restrict(a, _let_time_pass(b))
         case ElseNext(_, l):
@@ -366,7 +367,7 @@ def _canonical(p: Process, ren: dict[str, str]) -> Process:
             return Call(f, tuple(ren.get(a, a) for a in args))
         case Prefix(pol, a, k):
             return Prefix(pol, ren.get(a, a), _canonical(k, ren))
-        case Sum(_, _):
+        case Sum():
             parts = [
                 r
                 for q in _operands(p, Sum)
@@ -374,7 +375,7 @@ def _canonical(p: Process, ren: dict[str, str]) -> Process:
             ]
             parts.sort(key=pretty)
             return _nest(parts, Sum)
-        case Par(_, _):
+        case Par():
             parts = [
                 r
                 for q in _operands(p, Par)
@@ -403,8 +404,16 @@ def _canonical(p: Process, ren: dict[str, str]) -> Process:
 
 def _operands(p: Process, cls: type) -> list[Process]:
     if type(p) is cls:
-        return _operands(p.left, cls) + _operands(p.right, cls)
+        l, r = halves(p)
+        return _operands(l, cls) + _operands(r, cls)
     return [p]
+
+
+def halves(p: Process) -> tuple[Process, Process]:
+    """A sum or composition as the binary tree leaning left that it
+    stands for: its operands but the last, nested again, and the last."""
+    *init, last = p.parts
+    return (type(p)(*init) if len(init) > 1 else init[0]), last
 
 
 def _nest(parts: list[Process], cls: type) -> Process:

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -147,6 +148,22 @@ def test_the_deferred_sweep_is_the_all_edge_emission_order_and_predecessors():
             {i for i, _, j in edges if j == w} for w in range(n)
         ]
     assert loops and repeats
+
+
+def test_analysis_memory_grows_with_the_components_not_with_n_squared():
+    # ring of 6: 8192 states in 266 tau components.  A tau table holds
+    # one value per component, shared by its members; a seed per state,
+    # n ints of up to n bits, would peak near 8 MB.
+    res = parse(ring_program(6))
+    lts = build_lts([res.process("R")], res.defs)
+    assert len(lts) == 8192 and not lts.truncated
+    tracemalloc.start()
+    try:
+        analysis(lts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_truncated_graph_refused():

@@ -402,6 +402,7 @@ def _assert_pair_views(lts, orc, rels, compared):
         assert view == spelled and spelled == view
         assert list(view) == sorted(spelled)
         assert len(view) == len(spelled)
+        assert rel.pairs is view  # built once per relation
         with pytest.raises(TypeError):
             hash(view)
         for s in (-1, 0, n - 1, n):

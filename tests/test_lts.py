@@ -6,7 +6,7 @@ import pytest
 import tccs.lts
 from hypothesis import given, settings, strategies as st
 
-from oracles import canonical, ring_program, whole_step
+from oracles import canonical, halves, ring_program, whole_step
 from tccs import (
     DefTable,
     build_lts,
@@ -377,8 +377,12 @@ def _subterms(p):
     while stack:
         q = stack.pop()
         yield q
-        for f in q.__match_args__:
-            sub = getattr(q, f)
+        # a nest splits as the binary tree leaning left it stands for
+        if isinstance(q, (Sum, Par)):
+            subs = halves(q)
+        else:
+            subs = [getattr(q, f) for f in q.__match_args__]
+        for sub in subs:
             if isinstance(sub, Process) and sub not in seen:
                 seen.add(sub)
                 stack.append(sub)

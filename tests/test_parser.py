@@ -92,11 +92,15 @@ def test_present_macro_is_an_else_next_over_an_input():
 def test_internal_choice_macro_offers_two_internal_steps():
     p, _ = parse_proc("(a.0 (+) b.0)")
     assert isinstance(p, Sum)
-    assert p.left == Restrict(
-        "#1", Par(Prefix("in", "#1", Prefix("in", "a", NIL)), Prefix("out", "#1", NIL))
-    )
-    assert p.right == Restrict(
-        "#2", Par(Prefix("in", "#2", Prefix("in", "b", NIL)), Prefix("out", "#2", NIL))
+    assert p.parts == (
+        Restrict(
+            "#1",
+            Par(Prefix("in", "#1", Prefix("in", "a", NIL)), Prefix("out", "#1", NIL)),
+        ),
+        Restrict(
+            "#2",
+            Par(Prefix("in", "#2", Prefix("in", "b", NIL)), Prefix("out", "#2", NIL)),
+        ),
     )
 
 

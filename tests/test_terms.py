@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import canonical
+from oracles import canonical, halves
 from tccs import (
     DefTable,
     NameSupply,
@@ -100,14 +100,19 @@ def test_canonicalize_idempotent(seed):
 
 
 def _subterms(p):
+    # a nest splits as the binary tree leaning left it stands for, so
+    # its partial nests are subterms too
     out, stack = [], [p]
     while stack:
         q = stack.pop()
         out.append(q)
-        stack.extend(
-            getattr(q, f) for f in q.__match_args__
-            if isinstance(getattr(q, f), Process)
-        )
+        if isinstance(q, (Sum, Par)):
+            stack.extend(halves(q))
+        else:
+            stack.extend(
+                getattr(q, f) for f in q.__match_args__
+                if isinstance(getattr(q, f), Process)
+            )
     return out
 
 
@@ -237,29 +242,12 @@ def test_wide_nests_substitute_and_copy_as_one_node():
     assert copy.deepcopy(wide_sum) is wide_sum
 
 
-def test_a_nest_is_one_node_with_a_binary_view():
+def test_a_nest_is_one_node_over_its_operands():
     a, b, c = (Prefix("in", x, NIL) for x in "abc")
     assert Sum(Sum(a, b), c) is Sum(a, b, c)
     assert Sum(a, Sum(b, c)).parts == (a, Sum(b, c))
-    assert Sum(a, b, c).left is Sum(a, b) and Sum(a, b, c).right is c
     with pytest.raises(TypeError):
         Par(a)
-
-
-@given(seeds)
-@settings(max_examples=200, deadline=None)
-def test_the_binary_view_rebuilds_every_nest(seed):
-    p, _ = random_term(random.Random(seed), CFG)
-    stack = [p]
-    while stack:
-        match stack.pop():
-            case Sum() | Par() as x:
-                assert type(x)(x.left, x.right) is x
-                stack += x.parts
-            case Prefix(_, _, k) | Restrict(_, k):
-                stack.append(k)
-            case ElseNext(n, l):
-                stack += [n, l]
 
 
 def test_labels_check_their_kind_and_name():
