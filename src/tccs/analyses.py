@@ -19,22 +19,23 @@ any sequence of steps, must be free of divergence, so every instant is
 guaranteed to end.
 
 All predicates are exact on an untruncated graph.  The states of one
-tau-SCC share one tau closure, so every tau predicate is constant on
-it: the tau edges are condensed once, and each tau table is one fold
-over that condensation (`_fold`), which joins one seed per component
-over the components each one reaches.  may_converge is seeded with
-whether the component is a settled state (a settled state has no tau
-edge, so it is a component of its own), may_diverge with whether it is
-a tau cycle, barbs with the settled state's commitments, and the tau
-closure with the component's member mask.  The two predicates over all
-edges are two searches backward over one predecessor list
-(`_backward`): ctx_converge marks the states that reach a settled
-state, and reactive clears the states that reach a diverging one.  The
-equivalence checkers respond with the tau closure, and with each other
-label's weak transitions, the tau fold seeded per component with the
-closures of its members' targets under the label, on first use; they
-eliminate in the emission order of the condensation of all edges, with
-each state's predecessors, derived when first read (`Analysis.sweep`).
+tau-SCC reach the same states, so every predicate is constant on it:
+the tau edges are condensed once, and every table holds one value per
+component, shared by its members.  Each tau table is one fold over
+that condensation (`_fold`), which joins one seed per component over
+the components each one reaches.  may_converge is seeded with whether
+the component is a settled state (a settled state has no tau edge, so
+it is a component of its own), may_diverge with whether it is a tau
+cycle, and barbs with the settled state's commitments.  The two
+predicates over all edges are two searches backward over the same
+components (`_backward`): ctx_converge marks the components that reach
+a settled state, and reactive clears the ones that reach a tau cycle.
+The equivalence checkers respond with each label's weak transitions,
+tau included, on first use: the tau fold seeded per component with
+the member mask for tau, and with the closures of its members' targets
+under any other label.  They eliminate in the emission order of the
+condensation of all edges, with each state's predecessors, derived
+when first read (`Analysis.sweep`).
 
 ctx_converge needs no tick filter: a state gets a tick edge only when
 it has no tau edge, so every tick edge leaves a stable state, and a
@@ -81,18 +82,18 @@ class StateFacts:
 class Analysis:
     """All predicate tables for one graph, filled once at construction.
 
-    `tau_closure[i]` is the bitmask of the states tau-reachable from
-    state i, itself included.  Every tau table holds one value per
-    tau-SCC, shared by its members, each from one fold over the kept
-    tau condensation.  ctx_converge and reactivity come from the
-    backward searches over all edges, tick included: tick edges leave
-    stable states only.  `sweep` is the elimination order of the
+    Every table holds one value per tau-SCC, shared by its members: the
+    tau tables each from one fold over the kept tau condensation,
+    ctx_converge and reactivity from the backward searches over the
+    components' edges of every label, tick included (tick edges leave
+    stable states only).  `sweep` is the elimination order of the
     equivalence checkers, the states successors first, and `pred`,
     where `pred[j]` is the bitmask of the states with an edge, of any
     label, into j; it is derived from the edges when first read and
     then kept, so a query that never eliminates never pays for it.
-    `weak_masks` folds each other label's weak transition masks over
-    the same condensation, memoized per label.
+    `weak_masks` folds each label's weak transition masks over the same
+    condensation on first read, memoized per label; any other label's
+    fold reads tau's, so it fills tau's first.
     """
 
     __slots__ = (
@@ -103,7 +104,6 @@ class Analysis:
         "may_diverge",
         "barbs",
         "reactive",
-        "tau_closure",
         "_sweep",
         "_tau",
         "_weak",
@@ -127,22 +127,19 @@ class Analysis:
         self._tau = tau = (below, comp)
         # a settled state has no tau edge, so it is a component of its
         # own, and only a settled state has a commitment set
-        self.may_converge = _fold(*tau, [stable[ms[0]] for ms in comps])
-        self.may_diverge = div = _fold(*tau, [c in ds for c, ds in enumerate(below)])
+        settled = [stable[ms[0]] for ms in comps]
+        cycle = [c in ds for c, ds in enumerate(below)]
+        self.may_converge = _fold(*tau, settled)
+        self.may_diverge = _fold(*tau, cycle)
         commit = lts.commit
         self.barbs = _fold(*tau, [commit[ms[0]] or frozenset() for ms in comps])
-        self.tau_closure = _fold(*tau, [sum(1 << v for v in ms) for ms in comps])
-
-        # one predecessor list, searched backward from the settled states
-        # and from the diverging ones
-        preds: list[list[int]] = [[] for _ in stable]
+        # per component, the components with an edge of any label into it
+        into: list[set[int]] = [set() for _ in comps]
         for v, out in enumerate(lts.succ):
             for _, j in out:
-                preds[j].append(v)
-        self.ctx_converge = _backward(preds, [v for v, st in enumerate(stable) if st])
-        self.reactive = [
-            not r for r in _backward(preds, [v for v, d in enumerate(div) if d])
-        ]
+                into[comp[j]].add(comp[v])
+        self.ctx_converge = _backward(into, comp, settled)
+        self.reactive = [not r for r in _backward(into, comp, cycle)]
         self._sweep = None
 
     @property
@@ -161,24 +158,26 @@ class Analysis:
         return s
 
     def weak_masks(self, lab: Label) -> list[int]:
-        """Per-state bitmask of weak successors under `lab`.
+        """Per-state bitmask of weak successors under `lab`, memoized.
 
-        For tau this is the tau closure; for any other label it is tau
-        closure, one strong step with the label, then tau closure again:
-        the tau fold seeded, per component, with the closures of its
-        members' `lab`-successors.
+        For tau this is the tau closure, the tau fold seeded with each
+        component's member mask; for another label, tau closure, one
+        strong step with the label, then tau closure again: the fold
+        seeded with the closures of each component's `lab`-successors.
         """
-        if lab is TAU:
-            return self.tau_closure
         masks = self._weak.get(lab)
         if masks is None:
-            tclo = self.tau_closure
             below, comp = self._tau
             seed = [0] * len(below)
-            for j, out in enumerate(self.succ):
-                for l2, k in out:
-                    if l2 is lab:
-                        seed[comp[j]] |= tclo[k]
+            if lab is TAU:
+                for v, c in enumerate(comp):
+                    seed[c] |= 1 << v
+            else:
+                tclo = self.weak_masks(TAU)
+                for j, out in enumerate(self.succ):
+                    for l2, k in out:
+                        if l2 is lab:
+                            seed[comp[j]] |= tclo[k]
             masks = self._weak[lab] = _fold(below, comp, seed)
         return masks
 
@@ -207,12 +206,12 @@ class PairSet(Set):
 
     The rows are used as given, not copied, and may be shared: a
     partition's rows are one mask per class.  Membership is one bit
-    test, and a pair with a negative or out-of-range id is no member.
-    Iteration is in ascending (i, j) order and lists each distinct row's
-    members once, keeping them only until the row's last occurrence;
-    `len` counts the rows' bits.  `<=`, `>=` and `==` between two views
-    compare row by row.  The other set operators give frozensets.  Like
-    `set`, a view is unhashable.
+    test; a pair with a negative or out-of-range id is no member, nor
+    is any value but a pair of ints.  Iteration is in ascending (i, j)
+    order and lists each distinct row's members once, keeping them only
+    until the row's last occurrence; `len` counts the rows' bits.  `<=`,
+    `>=` and `==` between two views compare row by row.  The other set
+    operators give frozensets.  Like `set`, a view is unhashable.
     """
 
     __slots__ = ("rows",)
@@ -226,9 +225,12 @@ class PairSet(Set):
         return frozenset(it)
 
     def __contains__(self, pair) -> bool:
-        i, j = pair
-        rows = self.rows
-        return 0 <= i < len(rows) and j >= 0 and rows[i] >> j & 1 == 1
+        try:
+            i, j = pair
+            rows = self.rows
+            return 0 <= i < len(rows) and j >= 0 and rows[i] >> j & 1 == 1
+        except (TypeError, ValueError):  # not a pair of ints
+            return False
 
     def __iter__(self):
         rows = self.rows
@@ -264,22 +266,21 @@ class PairSet(Set):
         return super().__eq__(other)
 
 
-def _backward(preds: list[list[int]], seeds: list[int]) -> list[bool]:
-    """Per state, whether it reaches one of `seeds`, itself included.
+def _backward(into: list[set[int]], comp: list[int], seed: list) -> list:
+    """Per state, whether it reaches a component marked in `seed`.
 
-    `preds[j]` lists the states with an edge into j; one search backward
-    from the seeds marks every state it meets.
+    `into[c]` holds the components with an edge into component c, and
+    `comp[v]` is state v's component.  One search backward from the
+    marked components marks every component it meets.
     """
-    seen = [False] * len(preds)
-    for v in seeds:
-        seen[v] = True
-    stack = list(seeds)
+    seen = list(seed)
+    stack = [c for c, s in enumerate(seed) if s]
     while stack:
-        for v in preds[stack.pop()]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return seen
+        for d in into[stack.pop()]:
+            if not seen[d]:
+                seen[d] = True
+                stack.append(d)
+    return [seen[c] for c in comp]
 
 
 def _fold(below: list[set[int]], comp: list[int], seed: list) -> list:

@@ -201,10 +201,13 @@ class Relation:
     mode: str
     block: tuple[int, ...]
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        s, t = pair
-        n = len(self.block)
-        return 0 <= s < n and 0 <= t < n and self.block[s] == self.block[t]
+    def __contains__(self, pair) -> bool:
+        try:
+            s, t = pair
+            b, n = self.block, len(self.block)
+            return 0 <= s < n and 0 <= t < n and b[s] == b[t]
+        except (TypeError, ValueError):  # not a pair of ints
+            return False
 
     @cached_property
     def pairs(self) -> PairSet:
@@ -256,7 +259,7 @@ def _game(lts: Lts, an, mode: str) -> list[list[tuple]]:
             if clause == "lab" and not cc[s2]:
                 if lab not in or_tau:
                     or_tau[lab] = [
-                        w | c for w, c in zip(answers, an.tau_closure)
+                        w | c for w, c in zip(answers, an.weak_masks(TAU))
                     ]
                 answers = or_tau[lab]
             row.append((clause, lab, s2, answers))

@@ -60,15 +60,14 @@ class GenConfig:
     `depth` bounds the syntax tree; `max_defs` the number of defining
     equations; `names` is the palette of communication names.  With
     `allow_else` off only tick-insensitive operators appear; with
-    `allow_call` off no defining equations are used, which also rules
-    out divergence, so such terms are reactive.
+    `max_defs` 0 no defining equations are used, which also rules out
+    divergence, so such terms are reactive.
     """
 
     depth: int = 6
     max_defs: int = 4
     names: tuple[str, ...] = ("a", "b", "c", "d")
     allow_else: bool = True
-    allow_call: bool = True
 
 
 def _def_names(count: int) -> list[str]:
@@ -77,7 +76,7 @@ def _def_names(count: int) -> list[str]:
 
 def _make_defs(rng: random.Random, cfg: GenConfig) -> DefTable:
     defs = DefTable()
-    if not cfg.allow_call or cfg.max_defs == 0:
+    if cfg.max_defs == 0:
         return defs
     count = rng.randint(0, cfg.max_defs)
     idents = _def_names(count)
@@ -198,9 +197,7 @@ def random_reactive_term(
 ) -> tuple[Process, DefTable]:
     """A term with no calls: every internal run shrinks it, so it is
     reactive."""
-    cfg = replace(
-        cfg, allow_call=False, allow_else=cfg.allow_else and not ccs
-    )
+    cfg = replace(cfg, max_defs=0, allow_else=cfg.allow_else and not ccs)
     return random_term(rng, cfg)
 
 
@@ -328,13 +325,11 @@ def _static_positions(p: Process) -> list[tuple[Process, Callable]]:
 
 
 def related_pair(
-    rng: random.Random,
-    cfg: GenConfig = GenConfig(),
-    rewrites: int = 2,
+    rng: random.Random, cfg: GenConfig = GenConfig()
 ) -> tuple[Process, Process, DefTable]:
     """A pair equivalent in every checked mode, by construction.
 
-    The second term is the first with a few rewrites applied at static
+    The second term is the first with two rewrites applied at static
     positions: duplicating a branch into a choice with itself,
     guarding by an encoded internal step, or unfolding a call by hand.
     Each rewrite preserves all four relations and divergence.
@@ -342,7 +337,7 @@ def related_pair(
     p, defs = random_term(rng, cfg)
     q = p
     supply = NameSupply(avoid=all_names(p))
-    for _ in range(rewrites):
+    for _ in range(2):
         target, put = rng.choice(_static_positions(q))
         choices = ["dup", "tau"]
         if isinstance(target, Call):

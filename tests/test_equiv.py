@@ -408,6 +408,10 @@ def _assert_pair_views(lts, orc, rels, compared):
         for s in (-1, 0, n - 1, n):
             for t in (-1, 0, n - 1, n):
                 assert ((s, t) in view) == ((s, t) in spelled) == ((s, t) in rel)
+        # values that are not a pair of ints are no member, as in a set
+        for junk in (1, (0, 0, 0), (0,), "ab", None, (0, "a"), (0.5, 0)):
+            assert junk not in view and junk not in rel
+        assert ({1} <= view) is ({1} <= spelled) is False
         views.append(view)
         sets.append(spelled)
     for a, b in compared:
