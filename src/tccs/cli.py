@@ -234,11 +234,12 @@ def _cmd_step(args) -> int:
             return EXIT_OK
         if line in ("q", "quit", "exit"):
             return EXIT_OK
-        # str.isdigit also accepts digits such as '²' that int refuses
-        if not (line.isascii() and line.isdigit()) or int(line) >= len(moves):
+        # an index as listed, so no other text is converted to a number
+        picked = {str(i): m for i, m in enumerate(moves)}.get(line)
+        if picked is None:
             print("pick a transition index, or q to quit")
             continue
-        lab, cur = moves[int(line)]
+        lab, cur = picked
         if lab.kind == "tick":
             instant += 1
 

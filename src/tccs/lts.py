@@ -25,12 +25,11 @@ composition node, a term that is not a composition being a
 composition of one: an edge swaps the component that moved, or the
 two that synchronized, for the operands of their memoized canonical
 targets, and `compose` builds the result as one node, instead of
-rebuilding and canonicalizing the whole state.  The memo keeps those
-operands printed, as `compose` takes them, and a communication's
-co-label beside its label: no label points at its co-label.  A
-composition under a restriction, sum or else_next, as in every
-encoded tau.P, has its moves composed by the same rule from the same
-memo.  The tick is one rule over the whole state, `_tick`, nested
+rebuilding and canonicalizing the whole state.  The memo keeps a
+communication's co-label beside its label: no label points at its
+co-label.  A composition under a restriction, sum or else_next, as in
+every encoded tau.P, has its moves composed by the same rule from the
+same memo.  The tick is one rule over the whole state, `_tick`, nested
 compositions included, and the memo holds no tick.  The tests check
 both rules against an independent reference that steps every term
 whole by the binary rules (`tests/oracles.py`).
@@ -106,9 +105,9 @@ def step(
 
 
 def _move_key(move: tuple[Label, Process]) -> tuple:
-    # by label, then by printed target; `compose` prints what it builds
+    # by label, then by printed target
     lab, q = move
-    return lab._sort_key, q._text or pretty(q)
+    return lab._sort_key, q._text
 
 
 def _compose_moves(
@@ -172,15 +171,13 @@ def _component(c: Process, defs: DefTable, memo: dict) -> list:
     under `c`; the caller has found no entry.
 
     Each entry is the label, the operands of the target's canonical
-    form, printed for `compose`, and the co-label of a communication,
-    None for tau.  The co-label lives here, in a memo that dies with
-    the call: labels pointing at their co-labels would form cycles.
+    form, and the co-label of a communication, None for tau.  The
+    co-label lives here, in a memo that dies with the call: labels
+    pointing at their co-labels would form cycles.
     """
     moves = []
     for lab, q in _alpha(c, defs, memo):
         new = _components(canonicalize(q))
-        for r in new:
-            pretty(r)
         moves.append((lab, new, lab.co() if lab.is_comm else None))
     memo[c] = moves
     return moves

@@ -17,21 +17,19 @@ Nodes and transition labels are hash-consed (Filliatre and Conchon,
 table, and a constructor returns the existing one for a class and
 fields it has seen, so equal terms, and equal labels, are one object
 and compare by identity.  Every node precomputes its free-name set,
-which keeps capture checks cheap, and caches its printed form on first
-use, which is the sort key of canonical forms and of successor lists.
-It also caches its canonical form on first use, in the style of the
-per-node memo tables that hash-consing makes safe.  `compose` builds a
-canonical composition, one node, from canonical operands: a successor
-of a canonical state shares every component but the ones that moved,
-so it is composed from those as they are and the canonical forms of
-the moved ones, without canonicalizing the whole again.  Its operands
-must be printed already and none inert: it sorts them by their cached
-printed form and looks the result up in the intern table, building a
-node, printed from its operands, only on a miss.  `_canon` prints the
-operands it hands over and drops the inert ones; the stepper prints
-each target's operands once, when it memoizes them.  The same renaming
-instantiates a call: the canonical form of a definition's body with
-arguments for parameters is one pass of it (`Definition.instance`).
+which keeps capture checks cheap, and its printed form, formatted from
+its operands' when it is built, which is the sort key of canonical
+forms and of successor lists.  It caches its canonical form on first
+use, in the style of the per-node memo tables that hash-consing makes
+safe.  `compose` builds a canonical composition, one node, from
+canonical operands: a successor of a canonical state shares every
+component but the ones that moved, so it is composed from those as
+they are and the canonical forms of the moved ones, without
+canonicalizing the whole again.  It sorts them by their printed form
+and looks the result up in the intern table, building a node only on
+a miss.  The same renaming instantiates a call: the canonical form of
+a definition's body with arguments for parameters is one pass of it
+(`Definition.instance`).
 """
 
 from __future__ import annotations
@@ -234,9 +232,9 @@ class Process:
     `==` and `hash` apply.  Bound names are compared literally, so
     alpha-variants are distinct terms until canonicalize renames their
     binders into the machine name space.  Each subclass's `_build`
-    checks and fills its fields and `free`, the free name set, once per
-    distinct term, and `_new_nest` does so for sums and compositions;
-    `_text` caches the printed form, filled by `pretty`.  `_canonical`
+    checks and fills its fields, `free`, the free name set, and `_text`,
+    the printed form, once per distinct term, and `_new_nest` does so
+    for sums and compositions.  `_canonical`
     caches the canonical form, filled by `canonicalize`: None until
     known, the module marker `_CANONICAL` when the node is its own
     canonical form (a node never points at itself, which would be a
@@ -257,7 +255,6 @@ class Process:
                 return node
         node = object.__new__(cls)
         node._build(*fields)
-        node._text = None
         node._canonical = None
         entry = _table[key] = _Entry(node, _forget)
         entry.key = key
@@ -268,7 +265,27 @@ class Process:
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __repr__(self) -> str:
-        return pretty(self)
+        return self._text
+
+
+# Printing.  Prefix-like forms bind tighter than +, which binds tighter
+# than |.  new and else extend as far right as a prefix chain can, so
+# their bodies print as prefix operands, parenthesized when they are
+# sums or compositions.  An operand of a composition is parenthesized
+# when it is a composition, one of a sum when it is either.
+
+
+def pretty(p: Process) -> str:
+    return p._text
+
+
+# the same, as a sort key
+_printed = operator.attrgetter("_text")
+
+
+def _tight(p: Process) -> str:
+    # the text of `p` as the operand of a prefix
+    return "(%s)" % p._text if isinstance(p, _Nest) else p._text
 
 
 class Nil(Process):
@@ -277,6 +294,7 @@ class Nil(Process):
 
     def _build(self) -> None:
         self.free = frozenset()
+        self._text = "0"
 
 
 NIL = Nil()
@@ -293,6 +311,8 @@ class Prefix(Process):
         self.name = name
         self.cont = cont
         self.free = cont.free | {name}
+        act = name if polarity == "in" else "'" + name
+        self._text = "%s.%s" % (act, _tight(cont))
 
 
 class _Nest(Process):
@@ -331,7 +351,16 @@ def _new_nest(key: tuple) -> _Nest:
     # `|` of two sets is much cheaper than `union`, and most nests have two
     free = parts[0].free | parts[1].free
     node.free = free.union(*[q.free for q in parts[2:]]) if len(parts) > 2 else free
-    node._text = None
+    # the first operand is never of the nest's own class, which the
+    # constructor extends, so one rule serves every operand
+    if key[0] is Par:
+        node._text = " | ".join(
+            ["(%s)" % q._text if type(q) is Par else q._text for q in parts]
+        )
+    else:
+        node._text = " + ".join(
+            ["(%s)" % q._text if isinstance(q, _Nest) else q._text for q in parts]
+        )
     node._canonical = None
     entry = _table[key] = _Entry(node, _forget)
     entry.key = key
@@ -354,6 +383,7 @@ class Restrict(Process):
         self.name = name
         self.body = body
         self.free = body.free - {name}
+        self._text = "new %s. %s" % (name, _tight(body))
 
 
 class Call(Process):
@@ -367,6 +397,7 @@ class Call(Process):
         self.ident = ident
         self.args = args
         self.free = frozenset(args)
+        self._text = "%s(%s)" % (ident, ", ".join(args))
 
 
 class ElseNext(Process):
@@ -377,6 +408,7 @@ class ElseNext(Process):
         self.now = now
         self.later = later
         self.free = now.free | later.free
+        self._text = "{%s} else %s" % (now._text, _tight(later))
 
 
 # ---------------------------------------------------------------------------
@@ -546,84 +578,6 @@ def substitute(p: Process, mapping: dict[str, str]) -> Process:
 
 
 # ---------------------------------------------------------------------------
-# pretty printing
-
-# Precedence: prefix-like forms bind tighter than +, which binds
-# tighter than |.  new and else extend as far right as a prefix chain
-# can, so their bodies print at prefix level and pick up parentheses
-# when they are sums or compositions.
-
-
-def pretty(p: Process) -> str:
-    return p._text or _pp(p, 0)
-
-
-def _pp(p: Process, level: int) -> str:
-    # level 0: composition, 1: sum, 2: prefix operand.  The text at
-    # level 0 is cached on the node; the other levels at most add
-    # parentheses around it.  An unprinted term is printed bottom-up
-    # from an explicit stack, a node once its subterms are, so a term
-    # prints at any depth and width.
-    text = p._text
-    if text is None:
-        stack = [p]
-        while stack:
-            q = stack[-1]
-            if q._text is None:
-                todo = _layout(q)
-                if todo:
-                    stack += todo
-                    continue
-            stack.pop()
-        text = p._text
-    if (level >= 2 and type(p) is Sum) or (level >= 1 and type(p) is Par):
-        return "(%s)" % text
-    return text
-
-
-def _layout(p: Process) -> list[Process] | tuple[()]:
-    # print the node when its subterms are printed; else return those
-    # that are not, the chain of unprinted prefixes below it at once
-    match p:
-        case Nil():
-            p._text = "0"
-        case Prefix(pol, a, k):
-            if k._text is not None:
-                act = a if pol == "in" else "'" + a
-                p._text = "%s.%s" % (act, _pp(k, 2))
-                return ()
-            todo = []
-            while type(k) is Prefix and k._text is None:
-                todo.append(k)
-                k = k.cont
-            if k._text is None:
-                todo.append(k)
-            return todo
-        case Sum() | Par():
-            todo = [q for q in p.parts if q._text is None]
-            if todo:
-                return todo
-            # the first operand prints one level looser than the rest
-            sep, inner = (" + ", 2) if type(p) is Sum else (" | ", 1)
-            first, *rest = p.parts
-            p._text = sep.join([_pp(first, inner - 1)] + [_pp(q, inner) for q in rest])
-        case Restrict(a, b):
-            if b._text is None:
-                return [b]
-            p._text = "new %s. %s" % (a, _pp(b, 2))
-        case Call(ident, args):
-            p._text = "%s(%s)" % (ident, ", ".join(args))
-        case ElseNext(n, l):
-            todo = [q for q in (n, l) if q._text is None]
-            if todo:
-                return todo
-            p._text = "{%s} else %s" % (_pp(n, 0), _pp(l, 2))
-        case _:
-            raise AssertionError("unreachable node %r" % p)
-    return ()
-
-
-# ---------------------------------------------------------------------------
 # canonical forms
 
 # Canonical forms are the state identities of the transition engine.
@@ -668,13 +622,13 @@ def _canon(p: Process, ren: dict[str, str]) -> Process:
             c = Prefix(pol, ren.get(a, a), _canon(k, ren))
         case Sum() | Par():
             # an operand may canonicalize into a nest itself, so flatten
-            # again; sorting prints the operands, as `compose` needs them
+            # again
             cls = type(p)
             parts = [r for q in _flat(p, cls) for r in _flat(_canon(q, ren), cls)]
-            parts.sort(key=pretty)
             if cls is Par:
                 c = compose([q for q in parts if q is not NIL])
             else:
+                parts.sort(key=_printed)
                 c = Sum(*parts)
         case Restrict(a, b):
             if a not in b.free:
@@ -725,18 +679,15 @@ def _rebuild(parts: list[Process] | tuple[Process, ...], cls: type) -> Process:
     return cls(*parts) if len(parts) > 1 else parts[0]
 
 
-_printed = operator.attrgetter("_text")
-
-
 def compose(parts: list[Process]) -> Process:
     """The canonical composition of canonical operands.
 
-    The operands must be canonical and printed, and none may be inert
-    or a composition itself.  They are sorted by their cached printed
-    form, so this is the one place that builds a canonical composition;
-    it is one node, looked up in the intern table and built, and
-    printed, only when absent, and marked as its own canonical form.  A lone operand is
-    returned as it is, and no operand gives inaction.
+    The operands must be canonical, and none may be inert or a
+    composition itself.  They are sorted by their printed form, so this
+    is the one place that builds a canonical composition; it is one
+    node, looked up in the intern table and built only when absent, and
+    marked as its own canonical form.  A lone operand is returned as it
+    is, and no operand gives inaction.
     """
     if len(parts) < 2:
         return parts[0] if parts else NIL
@@ -746,9 +697,6 @@ def compose(parts: list[Process]) -> Process:
     c = entry() if entry is not None else None
     if c is None:
         c = _new_nest(key)
-        # the text `_pp` gives it: no operand is a composition, so none
-        # is parenthesized
-        c._text = " | ".join([q._text for q in parts])
     c._canonical = _CANONICAL
     return c
 
@@ -871,7 +819,8 @@ def pretty_context(ctx: StaticContext) -> str:
         case Hole():
             return "[]"
         case ParWith(c, q):
-            return "%s | %s" % (pretty_context(c), _pp(q, 1))
+            text = "(%s)" % q._text if type(q) is Par else q._text
+            return "%s | %s" % (pretty_context(c), text)
         case RestrictCtx(a, c):
             return "new %s. (%s)" % (a, pretty_context(c))
     raise AssertionError("unreachable context %r" % ctx)

@@ -467,6 +467,15 @@ def test_step_walks_one_action(prog, monkeypatch, capsys):
     assert "instant 1: 0" in out
 
 
+def test_step_refuses_an_index_too_long_for_a_number(prog, monkeypatch, capsys):
+    # 5000 digits, past the length that `int` converts
+    monkeypatch.setattr("sys.stdin", io.StringIO("%05000d\n0\nq\n" % 1))
+    assert main(["step", prog, "-p", "Q"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("pick a transition index, or q to quit") == 1
+    assert "instant 1: 0" in out
+
+
 def test_step_tick_advances_the_instant(prog, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("1\nq\n"))
     assert main(["step", prog, "-p", "Q"]) == 0
