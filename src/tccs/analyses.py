@@ -35,7 +35,9 @@ tau included, on first use: the tau fold seeded per component with
 the member mask for tau, and with the closures of its members' targets
 under any other label.  They eliminate in the emission order of the
 condensation of all edges, with each state's predecessors, derived
-when first read (`Analysis.sweep`).
+when first read (`Analysis.sweep`).  Whole relations are computed on
+the graph's tau-SCC quotient (`Analysis.quotient`), a graph of one node
+per component, derived when first read as well, with tables of its own.
 
 ctx_converge needs no tick filter: a state gets a tick edge only when
 it has no tau edge, so every tick edge leaves a stable state, and a
@@ -91,9 +93,12 @@ class Analysis:
     where `pred[j]` is the bitmask of the states with an edge, of any
     label, into j; it is derived from the edges when first read and
     then kept, so a query that never eliminates never pays for it.
-    `weak_masks` folds each label's weak transition masks over the same
-    condensation on first read, memoized per label; any other label's
-    fold reads tau's, so it fills tau's first.
+    `quotient` is the tau-SCC quotient of the graph, one node per
+    component, on which the whole relations are computed; it too is
+    built on first read and then kept.  `weak_masks` folds each label's
+    weak transition masks over the same condensation on first read,
+    memoized per label; any other label's fold reads tau's, so it fills
+    tau's first.
     """
 
     __slots__ = (
@@ -105,6 +110,7 @@ class Analysis:
         "barbs",
         "reactive",
         "_sweep",
+        "_quotient",
         "_tau",
         "_weak",
     )
@@ -140,7 +146,7 @@ class Analysis:
                 into[comp[j]].add(comp[v])
         self.ctx_converge = _backward(into, comp, settled)
         self.reactive = [not r for r in _backward(into, comp, cycle)]
-        self._sweep = None
+        self._sweep = self._quotient = None
 
     @property
     def sweep(self) -> tuple[list[int], list[int]]:
@@ -156,6 +162,40 @@ class Analysis:
             _, comps = _sccs(all_succ)
             s = self._sweep = ([v for members in comps for v in members], pred)
         return s
+
+    def quotient(self, lts: Lts) -> tuple[Lts, list[int]]:
+        """The tau-SCC quotient of `lts`, the graph this record was
+        built from, and each state's node in it: built on first use and
+        then kept.
+
+        One node per tau component, numbered as the components are and
+        named by the term of its lowest state.  Its edges are its
+        members' edges with each target replaced by its component, each
+        distinct (label, component) pair once.  A tau edge inside a
+        component thus becomes one tau self-loop, which the node has
+        exactly when its component is a tau cycle.
+        """
+        q = self._quotient
+        comp = self._tau[1]
+        if q is None:
+            terms: list = [None] * len(self._tau[0])
+            outs: list[dict] = [{} for _ in terms]
+            for v, out in enumerate(lts.succ):
+                c = comp[v]
+                if terms[c] is None:
+                    terms[c] = lts.terms[v]
+                edges = outs[c]
+                for lab, j in out:
+                    edges[lab, comp[j]] = None
+            q = self._quotient = Lts(
+                lts.defs,
+                tuple(comp[r] for r in lts.roots),
+                terms,
+                {t: c for c, t in enumerate(terms)},
+                [tuple(edges) for edges in outs],
+                False,
+            )
+        return q, comp
 
     def weak_masks(self, lab: Label) -> list[int]:
         """Per-state bitmask of weak successors under `lab`, memoized.

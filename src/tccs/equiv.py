@@ -30,10 +30,13 @@ The elimination loop works in rounds.  Each round sweeps the rows of
 the states successors first, so a pair is usually visited after the
 pairs its challenges lead to, and after the first round it re-checks
 only the pairs with a state that has an edge into a row the round
-before changed.  `largest_bisimulation` runs it on every pair until a
-round removes nothing.  A check of one pair reads only what that
-pair's verdict needs, in the manner of on-the-fly checking (Fernandez
-and Mounier, CAV 1991): the root pair first, against the starting
+before changed.  `largest_bisimulation` runs it on every pair of the
+graph's tau-SCC quotient until a round removes nothing, and pulls the
+classes back to the states: the states of one tau-SCC share their weak
+transitions and every filter flag, so every mode relates them.  A
+check of one pair, on the graph itself, reads only what that pair's
+verdict needs, in the manner of on-the-fly checking (Fernandez and
+Mounier, CAV 1991): the root pair first, against the starting
 relation; if it survives, the root's closure, the pairs its clauses
 read, transitively, which the loop sweeps until the root falls or a
 round removes nothing.  A verdict's `rounds` counts the rounds until
@@ -445,11 +448,23 @@ def _cone(
 
 
 def largest_bisimulation(lts: Lts, mode: str) -> Relation:
-    """The greatest relation satisfying the mode's clauses."""
+    """The greatest relation satisfying the mode's clauses.
+
+    The loop plays on the tau-SCC quotient (`Analysis.quotient`), one
+    node per tau component: every mode relates the states of one
+    component, which share one tau closure and every flag, and the
+    quotient's weak transitions are its members' own.  Each state takes
+    its node's class, renumbered by first appearance over the states,
+    so the partition is the one the graph itself gives.
+    """
     if lts.truncated:
         raise BoundExceeded("equivalence checking needs the full graph")
-    rows = _eliminate(lts, analysis(lts), mode)[0]
-    return Relation(mode, tuple(_classes(rows)))
+    q, comp = analysis(lts).quotient(lts)
+    block = _classes(_eliminate(q, analysis(q), mode)[0])
+    ids: dict[int, int] = {}
+    return Relation(
+        mode, tuple(ids.setdefault(block[c], len(ids)) for c in comp)
+    )
 
 
 def check_states(lts: Lts, s: int, t: int, mode: str) -> EquivVerdict:

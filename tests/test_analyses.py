@@ -84,8 +84,10 @@ def test_a_dropped_analysed_graph_frees_its_terms():
         lts = build_lts([res.process("R")], res.defs)
         an = analysis(lts)
         an.sweep, an.weak_masks(inp("u"))
+        q = an.quotient(lts)[0]
+        analysis(q).sweep
         refs = [weakref.ref(t) for t in lts.terms]
-        del res, lts, an
+        del res, lts, an, q
         assert [r for r in refs if r() is not None] == []
         assert len(_table) == before
     finally:
@@ -158,6 +160,44 @@ def test_the_deferred_sweep_is_the_all_edge_emission_order_and_predecessors():
             Oracle(lts).tau_star
         )
     assert loops and repeats
+
+
+def test_the_quotient_has_a_node_per_tau_component_and_its_edges_once():
+    # {0, 1} is a tau cycle, 2 one through its self-loop, 3, 4 and 5 no
+    # tau cycle; a visible edge inside a component stays, as a self-loop
+    a, b = inp("a"), inp("b")
+    lts = hand_built(6, [
+        (0, TAU, 1), (0, a, 2), (1, TAU, 0), (1, TAU, 0), (1, a, 2),
+        (1, a, 0), (2, TAU, 2), (2, TAU, 3), (3, TICK, 3), (4, TAU, 3),
+        (4, b, 5), (5, TICK, 4),
+    ])
+    an = analysis(lts)
+    assert an._quotient is None
+    q, c = an.quotient(lts)
+    assert an.quotient(lts)[0] is q and c is an._tau[1]
+    assert c[0] == c[1] and len(set(c)) == len(q) == 5
+    assert q.succ[c[0]] == ((TAU, c[0]), (a, c[2]), (a, c[0]))
+    assert q.succ[c[2]] == ((TAU, c[2]), (TAU, c[3]))
+    assert q.succ[c[3]] == ((TICK, c[3]),)
+    assert q.succ[c[4]] == ((TAU, c[3]), (b, c[5]))
+    assert q.succ[c[5]] == ((TICK, c[4]),)
+    assert [q.terms[c[v]] for v in (0, 2, 3, 4, 5)] == [
+        lts.terms[v] for v in (0, 2, 3, 4, 5)
+    ]
+    assert q.roots == (c[0],) and not q.truncated
+    assert all(q.index[t] == k for k, t in enumerate(q.terms))
+
+
+def test_the_quotient_has_its_members_facts():
+    # Every table is constant on a tau component, so a quotient node
+    # must read what its members read.
+    for seed in range(1000):
+        lts = _hand_built(random.Random(seed))
+        an = analysis(lts)
+        q, comp = an.quotient(lts)
+        aq = analysis(q)
+        for v, c in enumerate(comp):
+            assert aq.facts(c) == an.facts(v)
 
 
 def test_analysis_memory_grows_with_the_components_not_with_n_squared():

@@ -499,6 +499,77 @@ def test_classes_refuse_rows_that_are_not_an_equivalence():
     assert _classes([0b101, 0b010, 0b101]) == [0, 1, 0]
 
 
+# ---------------------------------------------------------------------------
+# whole relations on the tau-SCC quotient
+
+
+def _numbered_by_first_appearance(block):
+    return list(dict.fromkeys(block)) == list(range(len(set(block))))
+
+
+def _with_a_tau_cycle(rng):
+    """A hand-built graph of 3-9 states with at least one tau cycle,
+    from a self-loop up to one through every state, among random tau, a,
+    'a and b edges, some of them repeated; one tick edge leaves each
+    state without a tau edge, as the semantics has it."""
+    n = rng.randint(3, 9)
+    labels = (TAU, TAU, inp("a"), Label("out", "a"), inp("b"))
+    cycle = rng.sample(range(n), rng.choice((1, 2, rng.randint(1, n))))
+    edges = [(v, TAU, cycle[k - 1]) for k, v in enumerate(cycle)]
+    edges += [
+        (rng.randrange(n), rng.choice(labels), rng.randrange(n))
+        for _ in range(rng.randint(0, 2 * n))
+    ]
+    edges += [rng.choice(edges) for _ in range(rng.randint(0, 2))]
+    moving = {i for i, lab, _ in edges if lab is TAU}
+    edges += [(i, TICK, rng.randrange(n)) for i in range(n) if i not in moving]
+    rng.shuffle(edges)
+    return hand_built(n, edges)
+
+
+def test_relations_on_tau_cycles_agree_with_the_reference():
+    # Generated terms seldom close a tau cycle, and only a tau cycle
+    # makes the quotient smaller than the graph.
+    loops = repeats = merged = 0
+    for seed in range(5000):
+        lts = _with_a_tau_cycle(random.Random(seed))
+        loops += any((TAU, i) in out for i, out in enumerate(lts.succ))
+        repeats += any(len(set(out)) < len(out) for out in lts.succ)
+        merged += len(analysis(lts).quotient(lts)[0]) < len(lts)
+        orc = Oracle(lts)
+        for mode in MODES + (CONV_CCS,):
+            rel = largest_bisimulation(lts, mode)
+            assert rel.pairs == orc.gfp(mode), (seed, mode)
+            assert _numbered_by_first_appearance(rel.block)
+    assert loops > 1000 and repeats > 1000 and merged > 1000
+
+
+def test_ring_relations_agree_with_the_reference():
+    res = parse(ring_program(3))
+    lts = build_lts([res.process("R")], res.defs)
+    assert len(lts) == 128
+    orc = Oracle(lts)
+    for mode in (USUAL, CONV, CONV_DIV):
+        assert largest_bisimulation(lts, mode).pairs == orc.gfp(mode)
+
+
+def test_ring_of_5_classes_hold_whole_tau_components():
+    # 2048 states in 136 tau components, too many for the oracle in
+    # tier-1.  Two states share a tau component when each reaches the
+    # other by tau steps.
+    res = parse(ring_program(5))
+    lts = build_lts([res.process("R")], res.defs)
+    assert len(lts) == 2048
+    closure = weak(lts, TAU)
+    mutual = [(s, t) for s, t in closure if s < t and (t, s) in closure]
+    assert len(mutual) > 10000
+    for mode in MODES + (CONV_CCS,):
+        rel = largest_bisimulation(lts, mode)
+        assert len(set(rel.block)) == 12
+        assert _numbered_by_first_appearance(rel.block)
+        assert all((s, t) in rel for s, t in mutual)
+
+
 @given(seeds)
 @settings(max_examples=60, deadline=None)
 def test_mode_inclusions_on_random_graphs(seed):
